@@ -286,8 +286,9 @@ func BenchmarkMAPSPricesOnePeriod(b *testing.B) {
 
 // BenchmarkBipartiteBuild measures indexed graph construction, the hot path
 // of every simulated period: the cell-index builder with and without the
-// reusable scratch arena, and the k-d tree builder with a reused index and
-// graph (the streaming engine's steady-state construction).
+// reusable scratch arena, and the worker index rebuilt over the pool and
+// queried into a reused graph (the streaming engine's steady-state
+// construction).
 func BenchmarkBipartiteBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	in := &market.Instance{Grid: geo.SquareGrid(100, 10), Periods: 1}
@@ -316,17 +317,10 @@ func BenchmarkBipartiteBuild(b *testing.B) {
 			market.BuildBipartiteCellIndexScratch(in.Spatial(), tasks, workers, sc)
 		}
 	})
-	b.Run("kd-fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			market.BuildBipartiteKD(tasks, workers)
-		}
-	})
-	b.Run("kd-scratch", func(b *testing.B) {
-		ix := market.NewWorkerIndex(workers)
+	b.Run("index", func(b *testing.B) {
+		var ix market.WorkerIndex
 		g := match.NewGraph(0, 0)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ix.Reindex(workers)
 			ix.BuildGraphInto(tasks, g)
@@ -541,27 +535,19 @@ func BenchmarkLowChurnWindow(b *testing.B) {
 	})
 }
 
-// BenchmarkKDIncremental isolates the worker-index maintenance cost the
-// cached path saves: full Reindex every window versus Update applying the
-// ~2% location delta (the incremental path falls back to a rebuild
-// automatically above its churn threshold).
-func BenchmarkKDIncremental(b *testing.B) {
+// BenchmarkWorkerIndexBuild isolates the per-window cost of the worker
+// index on the low-churn fixture: one rebuild of the 4000-worker pool after
+// ~2% of it moved. A build costs the same whatever moved, so this one number
+// stands where the reindex-versus-incremental pair used to.
+func BenchmarkWorkerIndexBuild(b *testing.B) {
 	_, protoWorkers, _ := lowChurnFixture()
-	run := func(b *testing.B, incremental bool) {
-		workers := make([]market.Worker, len(protoWorkers))
-		copy(workers, protoWorkers)
-		ix := market.NewWorkerIndex(workers)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mutateChurn(workers, i)
-			if incremental {
-				ix.Update(workers)
-			} else {
-				ix.Reindex(workers)
-			}
-		}
+	workers := make([]market.Worker, len(protoWorkers))
+	copy(workers, protoWorkers)
+	ix := market.NewWorkerIndex(workers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mutateChurn(workers, i)
+		ix.Reindex(workers)
 	}
-	b.Run("reindex", func(b *testing.B) { run(b, false) })
-	b.Run("update", func(b *testing.B) { run(b, true) })
 }

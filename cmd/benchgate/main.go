@@ -85,7 +85,7 @@ func main() {
 
 	if *writePath != "" {
 		out := Baseline{
-			Note:    "committed perf baseline; regenerate with: go test -run xxx -bench 'EngineThroughput$|ShardBatch$|BipartiteBuild|RoadSpaceDistContended$|RoadSpaceDistCached$|LowChurnWindow|KDIncremental|WALAppend|IngestLoopback' -benchmem -benchtime 0.5s ./... | go run ./cmd/benchgate -write BENCH_engine.json",
+			Note:    "committed perf baseline; regenerate with: go test -run xxx -bench 'EngineThroughput$|ShardBatch$|BipartiteBuild|RoadSpaceDistContended$|RoadSpaceDistCached$|LowChurnWindow|WorkerIndexBuild|WALAppend|IngestLoopback' -benchmem -benchtime 0.5s ./... | go run ./cmd/benchgate -write BENCH_engine.json",
 			Results: results,
 		}
 		data, err := json.MarshalIndent(out, "", "  ")

@@ -103,13 +103,13 @@ func main() {
 	flag.IntVar(&o.scale, "scale", 1, "divide Beijing population sizes by this factor")
 	flag.StringVar(&o.strategy, "strategy", "maps", "pricing strategy: maps, basep, sdr, sde")
 	flag.StringVar(&o.space, "space", "grid", "spatial backend: "+strings.Join(spaceBackends, " | "))
-	flag.IntVar(&o.shards, "shards", 0, "shard goroutines (market partitions); 0 = auto (GOMAXPROCS clamped to cell count)")
+	flag.IntVar(&o.shards, "shards", 0, "shard goroutines (market partitions); 0 = auto (min(GOMAXPROCS, cells), at least 1)")
 	flag.IntVar(&o.window, "window", 1, "periods per pricing batch")
 	flag.BoolVar(&o.det, "det", false, "deterministic single-threaded mode (ignores -shards)")
 	flag.Float64Var(&o.mobility, "mobility", 0, "per-worker per-period move probability (0 disables the mobility trace)")
 	flag.Int64Var(&o.seed, "seed", 42, "workload seed")
 	flag.IntVar(&o.probes, "probes", 200, "base-pricing calibration probes per price")
-	amortize := flag.String("amortize", "on", "fingerprint-gated window caching and incremental k-d maintenance: on | off (results are bit-identical either way)")
+	amortize := flag.String("amortize", "on", "fingerprint-gated window caching: on | off (results are bit-identical either way)")
 
 	flag.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write a crash-safe engine checkpoint every k periods (0 disables; SIGINT/SIGTERM also snapshot when enabled)")
 	flag.StringVar(&o.ckptFile, "checkpoint-file", "serve.ckpt", "checkpoint path for -checkpoint-every and signal-triggered snapshots")

@@ -10,7 +10,7 @@ import (
 )
 
 // flatPriceStrategy prices every task at a fixed unit price. It isolates the
-// shard batch pipeline — pool sort, worker filtering, k-d rebuild, graph and
+// shard batch pipeline — pool compaction, worker filtering, index rebuild, graph and
 // context construction, greedy assignment, decision emission — from strategy
 // cost, so BenchmarkShardBatch measures the engine's own per-window work.
 type flatPriceStrategy struct {

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"spatialcrowd/internal/core"
@@ -118,7 +119,7 @@ type countersCk struct {
 }
 
 // shardCk is one shard's serialized market state. Workers are recorded in
-// pool storage order together with their arrival sequence numbers, so the
+// arrival order together with their arrival sequence numbers, so the
 // restored pool reproduces batch construction (and therefore matching tie
 // breaks) exactly.
 type shardCk struct {
@@ -572,9 +573,13 @@ func (s *shard) checkpoint() (shardCk, error) {
 		BatchStart: s.batchStart,
 		LastTick:   s.lastTick,
 		NextSeq:    s.nextSeq,
-		Workers:    append([]market.Worker(nil), s.pool...),
-		Seqs:       append([]uint64(nil), s.poolSeq...),
 		OpenTasks:  append([]market.Task(nil), s.tasks...),
+	}
+	for i := range s.pool {
+		if !s.poolDead[i] {
+			st.Workers = append(st.Workers, s.pool[i])
+			st.Seqs = append(st.Seqs, s.poolSeq[i])
+		}
 	}
 	if pb := s.pending; pb != nil {
 		p := &pendingCk{
@@ -621,12 +626,27 @@ func (s *shard) restore(st *shardCk) error {
 	s.exec.InvalidateCache()
 	s.batchStart = st.BatchStart
 	s.lastTick = st.LastTick
-	s.nextSeq = st.NextSeq
 	s.pool = append(s.pool[:0], st.Workers...)
 	s.poolSeq = append(s.poolSeq[:0], st.Seqs...)
-	clear(s.poolPos)
+	// Checkpoints written before the pool kept arrival order record it in
+	// storage order, permuted by swap-deletes; the sequence numbers put it
+	// back.
+	if !slices.IsSorted(s.poolSeq) {
+		sort.Sort(poolBySeq{s})
+	}
+	resizeZeroed(&s.poolDead, len(s.pool))
+	s.nextSeq = st.NextSeq
+	clear(s.poolID)
 	for i := range s.pool {
-		s.poolPos[s.pool[i].ID] = i
+		if i > 0 && s.poolSeq[i] == s.poolSeq[i-1] {
+			return fmt.Errorf("engine: shard state repeats arrival sequence %d", s.poolSeq[i])
+		}
+		s.poolID[s.pool[i].ID] = s.poolSeq[i]
+	}
+	if n := len(s.poolSeq); n > 0 {
+		// A next sequence at or below the last one would break the order
+		// the first admission after the restore.
+		s.nextSeq = max(s.nextSeq, s.poolSeq[n-1]+1)
 	}
 	s.tasks = append(s.tasks[:0], st.OpenTasks...)
 	s.pending = nil
@@ -649,6 +669,16 @@ func (s *shard) restore(st *shardCk) error {
 	// deltas keep counting priced windows only.
 	s.lastCache = s.exec.CacheStats()
 	return nil
+}
+
+// poolBySeq orders a shard's pool by arrival sequence.
+type poolBySeq struct{ s *shard }
+
+func (p poolBySeq) Len() int           { return len(p.s.pool) }
+func (p poolBySeq) Less(i, j int) bool { return p.s.poolSeq[i] < p.s.poolSeq[j] }
+func (p poolBySeq) Swap(i, j int) {
+	p.s.pool[i], p.s.pool[j] = p.s.pool[j], p.s.pool[i]
+	p.s.poolSeq[i], p.s.poolSeq[j] = p.s.poolSeq[j], p.s.poolSeq[i]
 }
 
 // restorePending re-arms a quoted batch: graph and context are rebuilt

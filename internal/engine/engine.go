@@ -5,7 +5,7 @@
 // (channel-in/channel-out — no shared locks on the event path), closes a
 // pricing batch every configurable window of periods, prices each batch with
 // any core.Strategy via core.BuildContext, and assigns accepting tasks with
-// single augmenting paths (match.Incremental) over a k-d tree candidate
+// single augmenting paths (match.Incremental) over a worker-index candidate
 // graph instead of recomputing a matching from scratch.
 //
 // Two modes:
@@ -80,12 +80,13 @@ type Config struct {
 	AutoDecide bool
 	// CellIndexGraphs builds batch bipartite graphs with the spatial cell
 	// index (market.BuildBipartiteCellIndex — the offline simulator's
-	// construction) instead of a per-batch k-d tree. The edge sets are
-	// identical either way; the adjacency order differs, which steers tie
-	// breaks in the greedy matching. With CellIndexGraphs a deterministic
-	// AutoDecide replay consumes exactly the workers sim.Run consumes, so
-	// replayed revenue matches the simulator bit for bit (the equivalence
-	// tests rely on this); the k-d tree default is faster on large pools.
+	// construction) instead of the per-batch worker index
+	// (market.WorkerIndex). The edge sets are identical either way; the
+	// adjacency order differs, which steers tie breaks in the greedy
+	// matching. With CellIndexGraphs a deterministic AutoDecide replay
+	// consumes exactly the workers sim.Run consumes, so replayed revenue
+	// matches the simulator bit for bit (the equivalence tests rely on
+	// this); the worker-index default is faster on large pools.
 	CellIndexGraphs bool
 	// Buffer is the router and per-shard channel depth (default 4096).
 	Buffer int
@@ -105,8 +106,7 @@ type Config struct {
 	// Amortize enables the executors' fingerprint-gated amortized-rebuild
 	// layer: pricing contexts, batch graphs, and (for core.PriceCacheable
 	// strategies) price vectors are reused across consecutive windows whose
-	// inputs fingerprint identically, and the k-d worker index is maintained
-	// incrementally under low churn. Cached windows are bit-identical to
+	// inputs fingerprint identically. Cached windows are bit-identical to
 	// fresh ones — revenue and the decision stream do not change.
 	Amortize bool
 }
@@ -194,6 +194,7 @@ type Engine struct {
 	// taken under a different shard layout.
 	shardCache   []window.CacheStats
 	carriedCache window.CacheStats
+	shardStages  []StageStats // per-shard window-close stage times (metrics only)
 
 	// Checkpoint restore bookkeeping (written before any event, read-only
 	// afterwards).
@@ -276,6 +277,7 @@ func New(cfg Config) (*Engine, error) {
 		e.shardRevenue = make([]float64, 1)
 		e.shardTasks = make([]int64, 1)
 		e.shardCache = make([]window.CacheStats, 1)
+		e.shardStages = make([]StageStats, 1)
 		return e, nil
 	}
 
@@ -297,6 +299,7 @@ func New(cfg Config) (*Engine, error) {
 	e.shardRevenue = make([]float64, cfg.Shards)
 	e.shardTasks = make([]int64, cfg.Shards)
 	e.shardCache = make([]window.CacheStats, cfg.Shards)
+	e.shardStages = make([]StageStats, cfg.Shards)
 	e.in = make(chan Event, cfg.Buffer)
 	e.taskShardCur = make(map[int]int)
 	e.taskShardPrev = make(map[int]int)
@@ -421,18 +424,12 @@ func (e *Engine) QueueDepths() QueueDepths {
 }
 
 // DefaultShards picks a shard count for an engine over a space with the
-// given cell count when the operator did not choose one: GOMAXPROCS capped
-// at the cell count (a shard with no cells would idle) and floored at 1.
+// given cell count when the operator did not choose one:
+// min(GOMAXPROCS, cells), floored at 1. A shard with no cells would idle, so
+// a space without cells (cells <= 0) gets exactly one shard on any host.
 // The deterministic mode (Shards == 0) is never selected implicitly.
 func DefaultShards(cells int) int {
-	n := runtime.GOMAXPROCS(0)
-	if cells > 0 && n > cells {
-		n = cells
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(runtime.GOMAXPROCS(0), cells))
 }
 
 // route is the router goroutine: it owns the task map and the worker
@@ -701,22 +698,32 @@ func (e *Engine) noteStrategyError(err error) {
 	e.stratErrMu.Unlock()
 }
 
-// noteBatch folds one finalized batch into the aggregate statistics.
-func (e *Engine) noteBatch(shard, accepted, served int, revenue float64) {
+// noteBatch folds one finalized batch into the aggregate statistics,
+// together with the stage times of its resolution.
+func (e *Engine) noteBatch(shard int, out *window.Outcome) {
 	e.aggMu.Lock()
-	e.accepted += int64(accepted)
-	e.served += int64(served)
-	e.shardRevenue[shard] += revenue
+	e.accepted += int64(out.AcceptedCount)
+	e.served += int64(out.Served)
+	e.shardRevenue[shard] += out.Revenue
+	st := &e.shardStages[shard]
+	st.Match += out.MatchTime
+	st.Observe += out.ObserveTime
 	e.aggMu.Unlock()
 }
 
-// notePriced records a batch's priced-task count against its shard, the
-// per-shard throughput Stats reports.
-func (e *Engine) notePriced(shard, tasks int) {
-	e.priced.Add(int64(tasks))
+// notePriced records a priced batch against its shard: the task count (the
+// per-shard throughput Stats reports) and the stage times of its pricing.
+func (e *Engine) notePriced(shard int, pr *window.Priced) {
+	tasks := int64(len(pr.Prices))
+	e.priced.Add(tasks)
 	e.batches.Add(1)
 	e.aggMu.Lock()
-	e.shardTasks[shard] += int64(tasks)
+	e.shardTasks[shard] += tasks
+	st := &e.shardStages[shard]
+	st.Windows++
+	st.Graph += pr.GraphTime
+	st.Context += pr.ContextTime
+	st.Price += pr.PriceTime
 	e.aggMu.Unlock()
 }
 

@@ -86,7 +86,7 @@ func replayDeterministic(t *testing.T, in *market.Instance, strat core.Strategy)
 // TestDeterministicEquivalenceSim is the end-to-end equivalence criterion:
 // the engine in deterministic AutoDecide mode must reproduce sim.Run's
 // revenue on the same workload. The engine builds its bipartite graphs from
-// k-d tree candidates while the simulator uses the grid index, so adjacency
+// worker-index candidates while the simulator uses the grid index, so adjacency
 // orders differ; both assignments are exact maximum-weight values each
 // period, but ties in which worker serves a task can consume different
 // workers and drift the pool slightly across periods — hence a tolerance

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"spatialcrowd/internal/core"
@@ -16,12 +17,16 @@ import (
 // own goroutine reading from its channel, so none of this state needs locks;
 // in deterministic mode a single shard is driven inline by Submit.
 //
-// Pool discipline: the pool is an unordered set with O(1) by-ID operations
-// (swap-delete plus the poolPos index), and every entry carries the arrival
-// sequence number poolSeq. Batch construction — the only consumer that
-// depends on order, because right-vertex order steers matching tie breaks
-// and therefore replay equivalence — restores arrival order by sorting on
-// the sequence numbers at batch-build time (see sortPoolByArrival).
+// Pool discipline: the pool is always in arrival order, because batch
+// construction takes its right-vertex order from it, that order steers
+// matching tie breaks, and replay equivalence rests on those. Admissions
+// append with the next arrival sequence number, so poolSeq is strictly
+// ascending at all times. Removals between window closes only tombstone the
+// entry (poolDead) and forget its ID; the one stable compaction at the top
+// of every window close (evictExpired) drops tombstones and lapsed workers
+// together, so the pool a batch is built from is dense. By-ID operations go
+// through poolID (worker ID -> arrival sequence) and a binary search of
+// poolSeq, so nothing has to be rewritten when entries shift.
 type shard struct {
 	id     int
 	eng    *Engine
@@ -32,11 +37,12 @@ type shard struct {
 	batchStart int // first period of the open window
 	lastTick   int // highest tick period seen (stamps lifecycle notes)
 
-	tasks   []market.Task   // the open window's tasks, in arrival order
-	pool    []market.Worker // online workers (unordered; see poolSeq)
-	poolSeq []uint64        // arrival sequence per pool entry (parallel to pool)
-	poolPos map[int]int     // worker ID -> pool index
-	nextSeq uint64          // next arrival sequence number
+	tasks    []market.Task   // the open window's tasks, in arrival order
+	pool     []market.Worker // online workers in arrival order, tombstones included
+	poolSeq  []uint64        // arrival sequence per pool entry, strictly ascending
+	poolDead []bool          // tombstone per pool entry (removed since the last compaction)
+	poolID   map[int]uint64  // live worker ID -> arrival sequence
+	nextSeq  uint64          // next arrival sequence number
 
 	pending *pendingBatch   // quoted batch awaiting requester decisions
 	notes   []lifecycleNote // pool transitions since the last flush to the router
@@ -64,7 +70,6 @@ type batchScratch struct {
 	poolIdx []int           // batch index -> pool position (AutoDecide filter)
 	cons    []int           // consumed pool positions (AutoDecide)
 	ds      []Decision      // decision batch buffer (copied on emit)
-	drop    []bool          // per-position drop marks (consume)
 }
 
 // pendingBatch is a priced batch whose requesters have not all replied
@@ -87,8 +92,8 @@ func newShard(id int, eng *Engine, strat core.Strategy) *shard {
 		mode = window.GraphCellIndex
 	}
 	s := &shard{id: id, eng: eng, strat: strat, window: eng.cfg.Window,
-		poolPos: make(map[int]int),
-		exec:    window.NewExecutor(eng.space, mode)}
+		poolID: make(map[int]uint64),
+		exec:   window.NewExecutor(eng.space, mode)}
 	s.exec.SetAmortize(eng.cfg.Amortize)
 	return s
 }
@@ -161,26 +166,28 @@ func (s *shard) restoreGuarded(st *shardCk) (err error) {
 // poolAppend admits a worker at the tail of the pool with a fresh arrival
 // sequence number.
 func (s *shard) poolAppend(w market.Worker) {
-	s.poolPos[w.ID] = len(s.pool)
+	s.poolID[w.ID] = s.nextSeq
 	s.pool = append(s.pool, w)
 	s.poolSeq = append(s.poolSeq, s.nextSeq)
+	s.poolDead = append(s.poolDead, false)
 	s.nextSeq++
 }
 
-// poolRemoveAt drops the pool entry at index i in O(1) by swapping the last
-// entry into the hole. Arrival order is not preserved here; batch
-// construction restores it from the sequence numbers.
-func (s *shard) poolRemoveAt(i int) {
-	id := s.pool[i].ID
-	last := len(s.pool) - 1
-	if i != last {
-		s.pool[i] = s.pool[last]
-		s.poolSeq[i] = s.poolSeq[last]
-		s.poolPos[s.pool[i].ID] = i
+// poolFind returns the pool index of the live worker with the given ID.
+func (s *shard) poolFind(id int) (int, bool) {
+	seq, ok := s.poolID[id]
+	if !ok {
+		return 0, false
 	}
-	s.pool = s.pool[:last]
-	s.poolSeq = s.poolSeq[:last]
-	delete(s.poolPos, id)
+	i, _ := slices.BinarySearch(s.poolSeq, seq)
+	return i, true
+}
+
+// poolRemoveAt tombstones the live pool entry at index i; the next
+// compaction drops it.
+func (s *shard) poolRemoveAt(i int) {
+	delete(s.poolID, s.pool[i].ID)
+	s.poolDead[i] = true
 }
 
 // workerOnline admits a worker into the pool. A duplicate online (the ID is
@@ -189,7 +196,7 @@ func (s *shard) poolRemoveAt(i int) {
 // arrival sequence, preserving the worker's batch-order slot. In
 // deterministic mode the shard also does the router's duplicate accounting.
 func (s *shard) workerOnline(w market.Worker) {
-	if i, ok := s.poolPos[w.ID]; ok {
+	if i, ok := s.poolFind(w.ID); ok {
 		s.pool[i] = w
 		if s.eng.det != nil {
 			s.eng.late.Add(1)
@@ -206,7 +213,7 @@ func (s *shard) workerOnline(w market.Worker) {
 // handshake). The ID cannot already be pooled here — the router resolved
 // the previous owner synchronously — but replace defensively if it is.
 func (s *shard) admit(w market.Worker) {
-	if i, ok := s.poolPos[w.ID]; ok {
+	if i, ok := s.poolFind(w.ID); ok {
 		s.pool[i] = w
 		return
 	}
@@ -224,7 +231,7 @@ func (s *shard) admit(w market.Worker) {
 // the old position and remain committed.
 func (s *shard) workerMove(ev Event) {
 	if ev.mig != nil {
-		i, ok := s.poolPos[ev.WorkerID]
+		i, ok := s.poolFind(ev.WorkerID)
 		if !ok {
 			ev.mig.reply <- migrateReply{}
 			return
@@ -241,7 +248,7 @@ func (s *shard) workerMove(ev Event) {
 		ev.mig.reply <- migrateReply{ok: true, worker: w}
 		return
 	}
-	if i, ok := s.poolPos[ev.WorkerID]; ok {
+	if i, ok := s.poolFind(ev.WorkerID); ok {
 		s.pool[i].Loc = ev.Loc
 		s.eng.lcMoves.Add(1)
 		return
@@ -272,7 +279,7 @@ func (s *shard) heldByPending(id int) bool {
 // stale copy is repaired exactly like an offline.
 func (s *shard) evictStale(id int, at time.Time) {
 	s.repairPending(id, at)
-	if i, ok := s.poolPos[id]; ok {
+	if i, ok := s.poolFind(id); ok {
 		s.poolRemoveAt(i)
 		s.eng.pooled.Add(-1)
 	}
@@ -343,59 +350,38 @@ func workerExpired(w market.Worker, t int) bool {
 	return t >= w.Period+d
 }
 
-// evictExpired compacts lapsed workers out of the pool (relative order of
-// the survivors is preserved; absolute order is irrelevant between batches)
-// and refreshes the position index for every surviving entry.
+// evictExpired is the pool's one compaction: a stable pass that drops the
+// tombstones left since the last one together with the workers whose
+// availability has lapsed by the given period. A pass that finds neither
+// writes nothing.
 func (s *shard) evictExpired(period int) {
-	kept := 0
+	kept, expired := 0, 0
 	for i := range s.pool {
-		w := s.pool[i]
-		if workerExpired(w, period) {
+		if s.poolDead[i] {
+			continue
+		}
+		w := &s.pool[i]
+		if workerExpired(*w, period) {
 			s.countRetire(RetireExpired)
 			s.note(w.ID, noteRetire)
-			delete(s.poolPos, w.ID)
+			delete(s.poolID, w.ID)
+			expired++
 			continue
 		}
 		if kept != i {
-			s.pool[kept] = w
+			s.pool[kept] = *w
 			s.poolSeq[kept] = s.poolSeq[i]
-			s.poolPos[w.ID] = kept
 		}
 		kept++
 	}
-	s.eng.pooled.Add(int64(kept - len(s.pool)))
-	s.pool = s.pool[:kept]
-	s.poolSeq = s.poolSeq[:kept]
-}
-
-// sortPoolByArrival restores the pool to arrival order (ascending sequence
-// numbers) before a batch is built, repairing the permutation left by
-// swap-deletes. Sequence numbers are unique, so the order — and therefore
-// the batch's right-vertex order, matching tie breaks, and deterministic
-// replay — does not depend on the removal history. Insertion sort: the pool
-// is nearly sorted (only entries displaced by swap-deletes since the last
-// batch are out of place), so the common cost is O(n + inversions) with no
-// allocation.
-func (s *shard) sortPoolByArrival() {
-	seq, pool := s.poolSeq, s.pool
-	sorted := true
-	for i := 1; i < len(seq); i++ {
-		if seq[i] < seq[i-1] {
-			sorted = false
-		}
-		j := i
-		for j > 0 && seq[j] < seq[j-1] {
-			seq[j], seq[j-1] = seq[j-1], seq[j]
-			pool[j], pool[j-1] = pool[j-1], pool[j]
-			j--
-		}
-	}
-	if sorted {
+	s.eng.pooled.Add(-int64(expired))
+	if kept == len(s.pool) {
 		return
 	}
-	for i := range pool {
-		s.poolPos[pool[i].ID] = i
-	}
+	s.pool = s.pool[:kept]
+	s.poolSeq = s.poolSeq[:kept]
+	s.poolDead = s.poolDead[:kept]
+	clear(s.poolDead)
 }
 
 // closeBatch prices the open window as of the given period: finalize the
@@ -424,7 +410,6 @@ func (s *shard) closeBatch(period int, at time.Time) {
 	if len(tasks) == 0 {
 		return
 	}
-	s.sortPoolByArrival()
 
 	// The batch's right side: every pooled worker currently active. poolIdx
 	// maps batch indices back to pool positions; nil means identity.
@@ -468,7 +453,7 @@ func (s *shard) closeBatch(period int, at time.Time) {
 		s.eng.noteStrategyError(err)
 		return
 	}
-	s.eng.notePriced(s.id, len(tasks))
+	s.eng.notePriced(s.id, pr)
 
 	if auto {
 		s.resolve(pr, tasks, batchWorkers, poolIdx, at)
@@ -480,9 +465,7 @@ func (s *shard) closeBatch(period int, at time.Time) {
 // resolve applies the requesters' valuations immediately through the
 // executor — exact left-weighted maximum-weight assignment, so the
 // deterministic engine reproduces the simulator's values by construction —
-// and translates the outcome into decisions and pool consumption. The
-// executor observes before consume compacts the pool backing array that
-// ctx.Workers may alias.
+// and translates the outcome into decisions and pool consumption.
 func (s *shard) resolve(pr *window.Priced, tasks []market.Task,
 	batchWorkers []market.Worker, poolIdx []int, at time.Time) {
 	sc := &s.scratch
@@ -511,7 +494,7 @@ func (s *shard) resolve(pr *window.Priced, tasks []market.Task,
 	}
 	sc.cons = consumed
 	s.consume(consumed)
-	s.eng.noteBatch(s.id, out.AcceptedCount, out.Served, out.Revenue)
+	s.eng.noteBatch(s.id, out)
 	s.eng.emitAll(ds, at)
 }
 
@@ -663,7 +646,7 @@ func (s *shard) finalizePending(at time.Time) {
 			s.note(pb.workers[r].ID, noteReleased)
 		}
 	}
-	s.eng.noteBatch(s.id, out.AcceptedCount, out.Served, out.Revenue)
+	s.eng.noteBatch(s.id, out)
 	s.eng.emitAll(lapsed, at)
 }
 
@@ -709,12 +692,12 @@ func (s *shard) repairPending(id int, at time.Time) bool {
 	return false
 }
 
-// removeWorkerID drops the pool entry with the given ID in O(1) and reports
+// removeWorkerID tombstones the pool entry with the given ID and reports
 // whether the worker was pooled. Assignment and expiry retirements are
 // noted to the router; offline retirements are not (the router initiated
 // those and already dropped the entry).
 func (s *shard) removeWorkerID(id int, why RetireReason) bool {
-	i, ok := s.poolPos[id]
+	i, ok := s.poolFind(id)
 	if !ok {
 		return false
 	}
@@ -727,34 +710,13 @@ func (s *shard) removeWorkerID(id int, why RetireReason) bool {
 	return true
 }
 
-// consume removes the given pool positions (the workers matched by a
-// resolved batch) by compaction, refreshing the position index — the same
-// pool discipline as the offline simulator.
+// consume tombstones the given pool positions (the workers matched by a
+// resolved batch).
 func (s *shard) consume(positions []int) {
-	if len(positions) == 0 {
-		return
-	}
-	drop := resizeZeroed(&s.scratch.drop, len(s.pool))
 	for _, p := range positions {
-		drop[p] = true
+		s.countRetire(RetireAssigned)
+		s.note(s.pool[p].ID, noteRetire)
+		s.poolRemoveAt(p)
 	}
-	kept := 0
-	for i := range s.pool {
-		w := s.pool[i]
-		if drop[i] {
-			s.countRetire(RetireAssigned)
-			s.note(w.ID, noteRetire)
-			delete(s.poolPos, w.ID)
-			continue
-		}
-		if kept != i {
-			s.pool[kept] = w
-			s.poolSeq[kept] = s.poolSeq[i]
-			s.poolPos[w.ID] = kept
-		}
-		kept++
-	}
-	s.eng.pooled.Add(int64(kept - len(s.pool)))
-	s.pool = s.pool[:kept]
-	s.poolSeq = s.poolSeq[:kept]
+	s.eng.pooled.Add(-int64(len(positions)))
 }

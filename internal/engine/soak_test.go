@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -119,20 +122,66 @@ func TestSoakCheckpointRestore(t *testing.T) {
 	}
 }
 
+// livePools returns each shard's live pool entries in pool order, after
+// checking the pool discipline on every shard. Safe only while no shard
+// goroutine can run: deterministic mode, or after a Checkpoint/Restore
+// round-trip or Close ordered the memory.
+func livePools(t *testing.T, e *Engine, when string) [][]market.Worker {
+	t.Helper()
+	shards := e.shards
+	if e.det != nil {
+		shards = []*shard{e.det}
+	}
+	pools := make([][]market.Worker, len(shards))
+	for si, s := range shards {
+		checkPoolDiscipline(t, s, when)
+		for i, w := range s.pool {
+			if !s.poolDead[i] {
+				pools[si] = append(pools[si], w)
+			}
+		}
+	}
+	return pools
+}
+
+// checkPoolDiscipline asserts the shard's pool invariant: arrival sequences
+// strictly ascending over every entry (tombstones included) and below
+// nextSeq, and for every live entry ID -> sequence -> position leading back
+// to it, with the ID index holding nothing else.
+func checkPoolDiscipline(t *testing.T, s *shard, when string) {
+	t.Helper()
+	dead := 0
+	for i := range s.pool {
+		if i > 0 && s.poolSeq[i] <= s.poolSeq[i-1] {
+			t.Fatalf("%s: shard %d pool seq not ascending at %d: %d after %d", when, s.id, i, s.poolSeq[i], s.poolSeq[i-1])
+		}
+		if s.poolDead[i] {
+			dead++
+			continue
+		}
+		id := s.pool[i].ID
+		if seq, ok := s.poolID[id]; !ok || seq != s.poolSeq[i] {
+			t.Fatalf("%s: shard %d worker %d at %d has seq %d, index says %d (present %v)", when, s.id, id, i, s.poolSeq[i], seq, ok)
+		}
+		if j, ok := s.poolFind(id); !ok || j != i {
+			t.Fatalf("%s: shard %d worker %d sits at %d, found at %d (present %v)", when, s.id, id, i, j, ok)
+		}
+	}
+	if n := len(s.pool); n > 0 && s.nextSeq <= s.poolSeq[n-1] {
+		t.Fatalf("%s: shard %d nextSeq %d not above last seq %d", when, s.id, s.nextSeq, s.poolSeq[n-1])
+	}
+	if len(s.poolID) != len(s.pool)-dead || len(s.poolSeq) != len(s.pool) || len(s.poolDead) != len(s.pool) {
+		t.Fatalf("%s: shard %d pool bookkeeping: %d entries, %d seqs, %d marks, %d tombstones, %d indexed",
+			when, s.id, len(s.pool), len(s.poolSeq), len(s.poolDead), dead, len(s.poolID))
+	}
+}
+
 // pooledIDs collects the IDs pooled across an idle engine's shards,
-// failing on duplicates. Safe after Checkpoint/Restore returned and before
-// the next Submit (the control round-trip orders the memory).
+// failing on duplicates.
 func pooledIDs(t *testing.T, e *Engine, when string) map[int]bool {
 	t.Helper()
 	ids := map[int]bool{}
-	pools := [][]market.Worker{}
-	if e.det != nil {
-		pools = append(pools, e.det.pool)
-	}
-	for _, s := range e.shards {
-		pools = append(pools, s.pool)
-	}
-	for _, pool := range pools {
+	for _, pool := range livePools(t, e, when) {
 		for _, w := range pool {
 			if ids[w.ID] {
 				t.Fatalf("%s: worker %d pooled twice", when, w.ID)
@@ -186,6 +235,12 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 			t.Fatalf("event %d: %v", submitted+1, err)
 		}
 		submitted++
+		// Deterministic mode applies the event inline, so the pool can be
+		// inspected after every single one; sharded runs are inspected at
+		// the checkpoint seam and after Close.
+		if e.det != nil {
+			checkPoolDiscipline(t, e.det, "after event "+strconv.Itoa(submitted))
+		}
 	}
 	drain := func() {
 		for _, d := range e.Poll() {
@@ -355,16 +410,9 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 	// Invariant: no worker pooled in two shards, and every pooled worker is
 	// one the harness actually onlined. Safe to inspect after Close (shard
 	// goroutines have exited).
-	pools := [][]market.Worker{}
-	if e.det != nil {
-		pools = append(pools, e.det.pool)
-	}
-	for _, s := range e.shards {
-		pools = append(pools, s.pool)
-	}
 	seen := map[int]int{}
 	pooled := 0
-	for si, pool := range pools {
+	for si, pool := range livePools(t, e, "after close") {
 		for _, w := range pool {
 			pooled++
 			if prev, dup := seen[w.ID]; dup {
@@ -456,5 +504,102 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 		if got := c.PriceHits + c.PriceMisses; got != windows {
 			t.Fatalf("price outcomes %d != priced windows %d (cache %+v)", got, windows, c)
 		}
+	}
+}
+
+// TestRestorePermutedPoolCheckpoint feeds Restore a version-1 checkpoint in
+// the shape engines wrote while the pool was an unordered set: Workers and
+// Seqs in storage order, permuted by swap-deletes. The restored engine must
+// put the pool back into arrival order and finish the stream on exactly the
+// uninterrupted run's revenue, funnel and lifecycle ledger.
+func TestRestorePermutedPoolCheckpoint(t *testing.T) {
+	in := churnBackends(t)["grid"]
+	for _, shards := range []int{0, 4} {
+		t.Run(modeName(shards), func(t *testing.T) {
+			ref, err := New(ckConfig(t, in, shards, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReplayWith(ref, in, ReplayOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Stats()
+
+			cut := in.Periods / 2
+			var ck bytes.Buffer
+			first, err := New(ckConfig(t, in, shards, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReplayWith(first, in, ReplayOpts{AfterPeriod: func(p int) error {
+				if p == cut-1 {
+					if err := first.Checkpoint(&ck); err != nil {
+						return err
+					}
+					return errCheckpointAbort
+				}
+				return nil
+			}})
+			if !errors.Is(err, errCheckpointAbort) {
+				t.Fatalf("expected aborted replay, got %v", err)
+			}
+			_ = first.Close()
+
+			var f checkpointFile
+			if err := json.Unmarshal(ck.Bytes(), &f); err != nil {
+				t.Fatal(err)
+			}
+			if f.Version != 1 {
+				t.Fatalf("checkpoint version %d, the format must stay 1", f.Version)
+			}
+			permuted := 0
+			for i := range f.ShardStates {
+				st := &f.ShardStates[i]
+				if !slices.IsSorted(st.Seqs) {
+					t.Fatalf("shard %d checkpointed its pool out of arrival order: %v", i, st.Seqs)
+				}
+				// Reverse, then swap the ends back: not sorted, not reverse
+				// sorted either.
+				slices.Reverse(st.Workers)
+				slices.Reverse(st.Seqs)
+				if n := len(st.Seqs); n > 2 {
+					st.Workers[0], st.Workers[n-1] = st.Workers[n-1], st.Workers[0]
+					st.Seqs[0], st.Seqs[n-1] = st.Seqs[n-1], st.Seqs[0]
+					permuted++
+				}
+			}
+			if permuted == 0 {
+				t.Fatal("no shard pooled enough workers at the cut to permute")
+			}
+			raw, err := json.Marshal(&f)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			second, err := New(ckConfig(t, in, shards, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := second.Restore(bytes.NewReader(raw)); err != nil {
+				t.Fatal(err)
+			}
+			livePools(t, second, "after permuted restore")
+			if _, err := ReplayWith(second, in, ReplayOpts{From: second.RestoredPeriod() + 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := second.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := second.Stats()
+			if got.Revenue != want.Revenue || got.Served != want.Served || got.Accepted != want.Accepted ||
+				got.TasksPriced != want.TasksPriced || got.Batches != want.Batches || ledgerOf(got) != ledgerOf(want) {
+				t.Fatalf("permuted-pool restore diverged:\nrestored      rev %v funnel %d/%d/%d/%d ledger %v\nuninterrupted rev %v funnel %d/%d/%d/%d ledger %v",
+					got.Revenue, got.TasksPriced, got.Accepted, got.Served, got.Batches, ledgerOf(got),
+					want.Revenue, want.TasksPriced, want.Accepted, want.Served, want.Batches, ledgerOf(want))
+			}
+		})
 	}
 }

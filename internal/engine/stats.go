@@ -49,6 +49,10 @@ type Stats struct {
 	// from the deltas shards report).
 	Cache      CacheStats
 	ShardCache []CacheStats
+	// Stages is the wall time the window closes have spent per stage, summed
+	// over shards. Like the latency quantiles it is wall-clock and restarts
+	// at zero after a restore.
+	Stages StageStats
 	// StrategyErrors counts pricing batches dropped because the strategy
 	// violated the one-price-per-task contract; LastStrategyError is the
 	// most recent such error (a typed *window.PriceCountError), nil when
@@ -66,6 +70,31 @@ type Stats struct {
 	// EventsPerSec is Events over Elapsed.
 	Elapsed      time.Duration
 	EventsPerSec float64
+}
+
+// StageStats is cumulative wall time per stage of the window close, over
+// Windows priced windows: building the bipartite graph (cache keys
+// included), assembling the pricing context, the strategy's Prices, and —
+// for immediately resolved windows only — the assignment matching and the
+// strategy's Observe.
+type StageStats struct {
+	Windows int64
+	Graph   time.Duration
+	Context time.Duration
+	Price   time.Duration
+	Match   time.Duration
+	Observe time.Duration
+}
+
+// Add returns the field-wise sum of a and b.
+func (a StageStats) Add(b StageStats) StageStats {
+	a.Windows += b.Windows
+	a.Graph += b.Graph
+	a.Context += b.Context
+	a.Price += b.Price
+	a.Match += b.Match
+	a.Observe += b.Observe
+	return a
 }
 
 // LifecycleStats counts worker-lifecycle transitions (see lifecycle.go).
@@ -132,6 +161,9 @@ func (e *Engine) Stats() Stats {
 	s.Revenue = e.carriedRevenue
 	s.ShardCache = append([]CacheStats(nil), e.shardCache...)
 	s.Cache = e.carriedCache
+	for _, st := range e.shardStages {
+		s.Stages = s.Stages.Add(st)
+	}
 	e.aggMu.Unlock()
 	for _, r := range s.ShardRevenue {
 		s.Revenue += r
@@ -182,9 +214,14 @@ func (s Stats) String() string {
 		b.WriteString("\n")
 	}
 	if c := s.Cache; c != (CacheStats{}) {
-		fmt.Fprintf(&b, "cache       ctx %d/%d hit, price %d/%d hit, kd %d incr / %d rebuilds\n",
+		fmt.Fprintf(&b, "cache       ctx %d/%d hit, price %d/%d hit, %d worker-index builds\n",
 			c.CtxHits, c.CtxHits+c.CtxMisses, c.PriceHits, c.PriceHits+c.PriceMisses,
-			c.KDIncremental, c.KDRebuilds)
+			c.KDRebuilds)
+	}
+	if st := s.Stages; st.Windows > 0 {
+		fmt.Fprintf(&b, "stages      %d windows: graph %v, context %v, price %v, match %v, observe %v\n",
+			st.Windows, st.Graph.Round(time.Microsecond), st.Context.Round(time.Microsecond),
+			st.Price.Round(time.Microsecond), st.Match.Round(time.Microsecond), st.Observe.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "latency     p50=%v p99=%v\n", s.P50Latency.Round(time.Microsecond), s.P99Latency.Round(time.Microsecond))
 	lc := s.Lifecycle

@@ -27,6 +27,7 @@ type statsJSON struct {
 	LastStrategyError *string       `json:"last_strategy_error"`
 	Cache             cacheJSON     `json:"cache"`
 	ShardCache        []cacheJSON   `json:"shard_cache,omitempty"`
+	Stages            *stagesJSON   `json:"stages,omitempty"` // absent until a window has been priced
 	Lifecycle         lifecycleJSON `json:"lifecycle"`
 	P50LatencyNanos   int64         `json:"p50_latency_ns"`
 	P50Latency        string        `json:"p50_latency"` //lint:snapfields human-readable duplicate; decode reads the _ns field
@@ -56,6 +57,15 @@ func cacheFromJSON(j cacheJSON) CacheStats {
 	return CacheStats{CtxHits: j.CtxHits, CtxMisses: j.CtxMisses,
 		PriceHits: j.PriceHits, PriceMisses: j.PriceMisses,
 		KDIncremental: j.KDIncremental, KDRebuilds: j.KDRebuilds}
+}
+
+type stagesJSON struct {
+	Windows      int64 `json:"windows"`
+	GraphNanos   int64 `json:"graph_ns"`
+	ContextNanos int64 `json:"context_ns"`
+	PriceNanos   int64 `json:"price_ns"`
+	MatchNanos   int64 `json:"match_ns"`
+	ObserveNanos int64 `json:"observe_ns"`
 }
 
 type lifecycleJSON struct {
@@ -112,6 +122,11 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 	for _, c := range s.ShardCache {
 		j.ShardCache = append(j.ShardCache, cacheToJSON(c))
 	}
+	if st := s.Stages; st != (StageStats{}) {
+		j.Stages = &stagesJSON{Windows: st.Windows,
+			GraphNanos: int64(st.Graph), ContextNanos: int64(st.Context), PriceNanos: int64(st.Price),
+			MatchNanos: int64(st.Match), ObserveNanos: int64(st.Observe)}
+	}
 	if s.LastStrategyError != nil {
 		msg := s.LastStrategyError.Error()
 		j.LastStrategyError = &msg
@@ -161,6 +176,12 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 	}
 	for _, c := range j.ShardCache {
 		s.ShardCache = append(s.ShardCache, cacheFromJSON(c))
+	}
+	if st := j.Stages; st != nil {
+		s.Stages = StageStats{Windows: st.Windows,
+			Graph: time.Duration(st.GraphNanos), Context: time.Duration(st.ContextNanos),
+			Price: time.Duration(st.PriceNanos), Match: time.Duration(st.MatchNanos),
+			Observe: time.Duration(st.ObserveNanos)}
 	}
 	if j.LastStrategyError != nil {
 		s.LastStrategyError = statsWireError(*j.LastStrategyError)

@@ -33,6 +33,9 @@ func fullStats() Stats {
 			{CtxHits: 100, CtxMisses: 60, PriceHits: 70, PriceMisses: 90,
 				KDIncremental: 80, KDRebuilds: 15},
 		},
+		Stages: StageStats{Windows: 400, Graph: 90 * time.Millisecond,
+			Context: 20 * time.Millisecond, Price: 300 * time.Millisecond,
+			Match: 45 * time.Millisecond, Observe: 30 * time.Millisecond},
 		Lifecycle: LifecycleStats{
 			Onlines: 900, DuplicateOnlines: 3, Moves: 1200, Migrations: 80,
 			PinnedMoves: 5, RetiredAssigned: 700, RetiredExpired: 150,
@@ -64,7 +67,7 @@ func TestStatsMarshalJSONStableShape(t *testing.T) {
 		"events", "tasks_priced", "quoted", "accepted", "served",
 		"revenue", "shard_revenue", "shard_tasks", "batches", "late",
 		"strategy_errors", "last_strategy_error", "cache", "shard_cache",
-		"lifecycle",
+		"stages", "lifecycle",
 		"p50_latency_ns", "p50_latency", "p99_latency_ns", "p99_latency",
 		"elapsed_ns", "elapsed", "events_per_sec",
 	}
@@ -113,6 +116,25 @@ func TestStatsMarshalJSONStableShape(t *testing.T) {
 	sort.Strings(wantCache)
 	if !reflect.DeepEqual(gotCache, wantCache) {
 		t.Errorf("cache key set changed:\n got %v\nwant %v", gotCache, wantCache)
+	}
+
+	stages, ok := m["stages"].(map[string]any)
+	if !ok {
+		t.Fatalf("stages is %T, want object", m["stages"])
+	}
+	wantStages := []string{"windows", "graph_ns", "context_ns", "price_ns", "match_ns", "observe_ns"}
+	gotStages := make([]string, 0, len(stages))
+	for k := range stages {
+		gotStages = append(gotStages, k)
+	}
+	sort.Strings(gotStages)
+	sort.Strings(wantStages)
+	if !reflect.DeepEqual(gotStages, wantStages) {
+		t.Errorf("stages key set changed:\n got %v\nwant %v", gotStages, wantStages)
+	}
+	// Before any window is priced the block is absent, not a row of zeros.
+	if raw, _ := json.Marshal(Stats{}); bytes.Contains(raw, []byte(`"stages"`)) {
+		t.Errorf("zero Stats encodes a stages block: %s", raw)
 	}
 
 	if ns := m["p50_latency_ns"].(float64); int64(ns) != int64(1500*time.Microsecond) {
@@ -201,6 +223,9 @@ func FuzzStatsJSONRoundTrip(f *testing.F) {
 			ShardRevenue:   []float64{shardRev, revenue},
 			ShardTasks:     []int64{priced, events},
 			StrategyErrors: 1,
+			Stages: StageStats{Windows: late, Graph: time.Duration(p50),
+				Context: time.Duration(events), Price: time.Duration(priced),
+				Match: time.Duration(late), Observe: time.Duration(p50)},
 		}
 		if errMsg != "" {
 			if !utf8.ValidString(errMsg) {

@@ -1,13 +1,9 @@
-// Package kdtree implements a static 2-d tree over points with integer
-// payloads, supporting nearest-neighbor, k-nearest, and radius queries. The
-// market package uses it as a worker index for bipartite-graph construction
-// when worker radii vary too widely for the uniform grid index to prune
-// well; it is also generally useful to library users building dispatch
-// tooling (e.g. "closest idle courier" lookups).
+// Package kdtree implements a static 2-d tree over points, supporting
+// nearest-neighbor and radius queries. spatial.RoadSpace uses it to snap
+// positions to road-network nodes and to enumerate the nodes within range.
 package kdtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -20,58 +16,25 @@ import (
 // tree.
 type Tree struct {
 	pts []geo.Point // stored in tree order
-	ids []int       // payload per point, parallel to pts
+	ids []int       // input position per point, parallel to pts
 }
 
-// Build constructs a tree over the given points; ids[i] is returned from
-// queries instead of raw indices (pass nil to use positions 0..n-1).
-func Build(points []geo.Point, ids []int) *Tree {
-	t := &Tree{}
-	t.Rebuild(points, ids)
+// Build constructs a tree over the given points (copied, not retained);
+// queries report a point by its position in this slice.
+func Build(points []geo.Point) *Tree {
+	t := &Tree{pts: append([]geo.Point(nil), points...), ids: make([]int, len(points))}
+	for i := range t.ids {
+		t.ids[i] = i
+	}
+	t.buildWith(&byAxis{t: t}, 0, len(points), 0)
 	return t
 }
 
-// Rebuild reconstructs the tree in place over a new point set, reusing the
-// node arena (the point and payload arrays) of the previous build whenever
-// it is large enough. Per-batch indexes on hot paths (the streaming engine's
-// worker index) rebuild one tree per pricing window; with a reused arena the
-// steady-state rebuild allocates nothing. Queries issued before the call see
-// the old tree; Rebuild must not run concurrently with queries.
-func (t *Tree) Rebuild(points []geo.Point, ids []int) {
-	n := len(points)
-	if cap(t.pts) >= n {
-		t.pts = t.pts[:n]
-	} else {
-		t.pts = make([]geo.Point, n)
-	}
-	copy(t.pts, points)
-	if cap(t.ids) >= n {
-		t.ids = t.ids[:n]
-	} else {
-		t.ids = make([]int, n)
-	}
-	if ids == nil {
-		for i := range t.ids {
-			t.ids[i] = i
-		}
-	} else {
-		copy(t.ids, ids)
-	}
-	if n == 0 {
-		return
-	}
-	t.build(0, n, 0)
-}
-
-// build recursively median-splits pts[lo:hi] on the given axis. The
+// buildWith recursively median-splits pts[lo:hi] on the given axis. The
 // subrange is fully sorted on the axis (simpler than quickselect; Build is
 // a one-time cost and n log^2 n total is fine at the sizes involved), which
 // places the median at the pivot position. One sorter is reused for every
 // recursive sort so the interface conversion boxes nothing per subrange.
-func (t *Tree) build(lo, hi, axis int) {
-	t.buildWith(&byAxis{t: t}, lo, hi, axis)
-}
-
 func (t *Tree) buildWith(b *byAxis, lo, hi, axis int) {
 	if hi-lo <= 1 {
 		return
@@ -103,10 +66,7 @@ func (b byAxis) Swap(i, j int) {
 	b.t.ids[b.lo+i], b.t.ids[b.lo+j] = b.t.ids[b.lo+j], b.t.ids[b.lo+i]
 }
 
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
-
-// Nearest returns the payload id and distance of the point closest to q.
+// Nearest returns the position and distance of the point closest to q.
 // It returns (-1, +Inf) on an empty tree.
 func (t *Tree) Nearest(q geo.Point) (int, float64) {
 	if len(t.pts) == 0 {
@@ -143,59 +103,7 @@ func (t *Tree) nearest(lo, hi, axis int, q geo.Point, bestID *int, bestD2 *float
 	}
 }
 
-// KNearest returns the payload ids of the k points closest to q, ordered by
-// increasing distance. Fewer than k points are returned when the tree is
-// smaller than k.
-func (t *Tree) KNearest(q geo.Point, k int) []int {
-	if k <= 0 || len(t.pts) == 0 {
-		return nil
-	}
-	h := &maxHeap{}
-	t.knearest(0, len(t.pts), 0, q, k, h)
-	out := make([]int, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(heapItem).id
-	}
-	return out
-}
-
-func (t *Tree) knearest(lo, hi, axis int, q geo.Point, k int, h *maxHeap) {
-	if hi <= lo {
-		return
-	}
-	mid := (lo + hi) / 2
-	p := t.pts[mid]
-	d2 := p.SqDist(q)
-	if h.Len() < k {
-		heap.Push(h, heapItem{d2: d2, id: t.ids[mid]})
-	} else if d2 < (*h)[0].d2 {
-		heap.Pop(h)
-		heap.Push(h, heapItem{d2: d2, id: t.ids[mid]})
-	}
-	var qa, pa float64
-	if axis == 0 {
-		qa, pa = q.X, p.X
-	} else {
-		qa, pa = q.Y, p.Y
-	}
-	nearLo, nearHi, farLo, farHi := lo, mid, mid+1, hi
-	if qa > pa {
-		nearLo, nearHi, farLo, farHi = mid+1, hi, lo, mid
-	}
-	t.knearest(nearLo, nearHi, 1-axis, q, k, h)
-	diff := qa - pa
-	if h.Len() < k || diff*diff < (*h)[0].d2 {
-		t.knearest(farLo, farHi, 1-axis, q, k, h)
-	}
-}
-
-// InRadius returns the payload ids of all points within the closed disk of
-// radius r around q, in no particular order.
-func (t *Tree) InRadius(q geo.Point, r float64) []int {
-	return t.InRadiusAppend(q, r, nil)
-}
-
-// InRadiusAppend appends the payload ids of all points within the closed
+// InRadiusAppend appends the positions of all points within the closed
 // disk of radius r around q to out and returns the extended slice. Passing
 // a reused buffer keeps repeated queries allocation-free, which matters on
 // per-task hot paths like bipartite candidate generation.
@@ -229,23 +137,4 @@ func (t *Tree) inRadius(lo, hi, axis int, q geo.Point, r2 float64, out *[]int) {
 	if diff >= 0 || diff*diff <= r2 {
 		t.inRadius(mid+1, hi, 1-axis, q, r2, out)
 	}
-}
-
-type heapItem struct {
-	d2 float64
-	id int
-}
-
-type maxHeap []heapItem
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i].d2 > h[j].d2 }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -3,7 +3,6 @@ package kdtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"spatialcrowd/internal/geo"
@@ -18,26 +17,20 @@ func randomPoints(rng *rand.Rand, n int) []geo.Point {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := Build(nil, nil)
-	if tr.Len() != 0 {
-		t.Fatal("empty tree has points")
-	}
+	tr := Build(nil)
 	if id, d := tr.Nearest(geo.Point{}); id != -1 || !math.IsInf(d, 1) {
 		t.Errorf("Nearest on empty = %d/%v", id, d)
 	}
-	if got := tr.KNearest(geo.Point{}, 3); got != nil {
-		t.Errorf("KNearest on empty = %v", got)
-	}
-	if got := tr.InRadius(geo.Point{}, 5); got != nil {
-		t.Errorf("InRadius on empty = %v", got)
+	if got := tr.InRadiusAppend(geo.Point{}, 5, nil); got != nil {
+		t.Errorf("InRadiusAppend on empty = %v", got)
 	}
 }
 
 func TestSinglePoint(t *testing.T) {
-	tr := Build([]geo.Point{{X: 3, Y: 4}}, []int{42})
+	tr := Build([]geo.Point{{X: 3, Y: 4}})
 	id, d := tr.Nearest(geo.Point{})
-	if id != 42 || math.Abs(d-5) > 1e-12 {
-		t.Errorf("Nearest = %d/%v, want 42/5", id, d)
+	if id != 0 || math.Abs(d-5) > 1e-12 {
+		t.Errorf("Nearest = %d/%v, want 0/5", id, d)
 	}
 }
 
@@ -46,7 +39,7 @@ func TestNearestVsBruteForce(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(300)
 		pts := randomPoints(rng, n)
-		tr := Build(pts, nil)
+		tr := Build(pts)
 		for q := 0; q < 20; q++ {
 			query := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 			bestI, bestD := -1, math.Inf(1)
@@ -67,57 +60,16 @@ func TestNearestVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestKNearestVsBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(200)
-		pts := randomPoints(rng, n)
-		tr := Build(pts, nil)
-		for _, k := range []int{1, 3, 7, n, n + 5} {
-			query := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-			got := tr.KNearest(query, k)
-			wantLen := k
-			if wantLen > n {
-				wantLen = n
-			}
-			if len(got) != wantLen {
-				t.Fatalf("k=%d: returned %d ids", k, len(got))
-			}
-			// Brute-force the same k.
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(a, b int) bool {
-				return pts[idx[a]].SqDist(query) < pts[idx[b]].SqDist(query)
-			})
-			for i := range got {
-				gd := pts[got[i]].Dist(query)
-				wd := pts[idx[i]].Dist(query)
-				if math.Abs(gd-wd) > 1e-9 {
-					t.Fatalf("k=%d position %d: dist %v vs brute %v", k, i, gd, wd)
-				}
-			}
-			// Ordered by increasing distance.
-			for i := 1; i < len(got); i++ {
-				if pts[got[i-1]].SqDist(query) > pts[got[i]].SqDist(query)+1e-12 {
-					t.Fatalf("KNearest not sorted at %d", i)
-				}
-			}
-		}
-	}
-}
-
 func TestInRadiusVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(300)
 		pts := randomPoints(rng, n)
-		tr := Build(pts, nil)
+		tr := Build(pts)
 		query := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		r := rng.Float64() * 40
 		got := map[int]bool{}
-		for _, id := range tr.InRadius(query, r) {
+		for _, id := range tr.InRadiusAppend(query, r, nil) {
 			if got[id] {
 				t.Fatalf("duplicate id %d", id)
 			}
@@ -132,68 +84,24 @@ func TestInRadiusVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestCustomIDs(t *testing.T) {
-	pts := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}
-	tr := Build(pts, []int{100, 200})
-	id, _ := tr.Nearest(geo.Point{X: 9, Y: 0})
-	if id != 200 {
-		t.Errorf("Nearest id = %d, want 200", id)
-	}
-	ids := tr.InRadius(geo.Point{X: 0, Y: 0}, 1)
-	if len(ids) != 1 || ids[0] != 100 {
-		t.Errorf("InRadius ids = %v", ids)
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	pts := make([]geo.Point, 20)
 	for i := range pts {
 		pts[i] = geo.Point{X: 5, Y: 5}
 	}
-	tr := Build(pts, nil)
-	if got := tr.InRadius(geo.Point{X: 5, Y: 5}, 0); len(got) != 20 {
+	tr := Build(pts)
+	if got := tr.InRadiusAppend(geo.Point{X: 5, Y: 5}, 0, nil); len(got) != 20 {
 		t.Errorf("found %d of 20 duplicates", len(got))
-	}
-	if got := tr.KNearest(geo.Point{X: 5, Y: 5}, 7); len(got) != 7 {
-		t.Errorf("KNearest returned %d", len(got))
 	}
 }
 
 func TestBuildDoesNotAliasInput(t *testing.T) {
 	pts := randomPoints(rand.New(rand.NewSource(4)), 50)
 	orig := append([]geo.Point(nil), pts...)
-	Build(pts, nil)
+	Build(pts)
 	for i := range pts {
 		if pts[i] != orig[i] {
 			t.Fatal("Build mutated the caller's slice")
-		}
-	}
-}
-
-func TestInRadiusAppendReusesBuffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	pts := make([]geo.Point, 200)
-	for i := range pts {
-		pts[i] = geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-	}
-	tree := Build(pts, nil)
-	buf := make([]int, 0, 256)
-	for trial := 0; trial < 20; trial++ {
-		q := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		r := rng.Float64() * 30
-		want := tree.InRadius(q, r)
-		buf = tree.InRadiusAppend(q, r, buf[:0])
-		if len(buf) != len(want) {
-			t.Fatalf("trial %d: %d ids vs %d", trial, len(buf), len(want))
-		}
-		seen := make(map[int]bool, len(want))
-		for _, id := range want {
-			seen[id] = true
-		}
-		for _, id := range buf {
-			if !seen[id] {
-				t.Fatalf("trial %d: unexpected id %d", trial, id)
-			}
 		}
 	}
 }

@@ -1,11 +1,12 @@
 package market
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"spatialcrowd/internal/geo"
-	"spatialcrowd/internal/kdtree"
 	"spatialcrowd/internal/match"
 	"spatialcrowd/internal/spatial"
 )
@@ -112,308 +113,205 @@ func BuildBipartiteCellIndexScratch(space spatial.Space, tasks []Task, workers [
 	return g
 }
 
-// BuildBipartiteKD constructs the same graph as BuildBipartite using a k-d
-// tree over worker locations: each task radius-queries the tree at the
-// period's maximum worker radius and distance-tests the candidates. Unlike
-// the grid index, pruning quality does not depend on the grid resolution,
-// which makes this variant preferable when worker radii are small relative
-// to grid cells or when no grid exists at all.
-func BuildBipartiteKD(tasks []Task, workers []Worker) *match.Graph {
-	return NewWorkerIndex(workers).BuildGraph(tasks)
-}
-
-// WorkerIndex is a k-d tree over a worker pool for repeated range-candidate
-// queries. The streaming dispatch engine builds one per pricing batch and
-// uses it both to generate the batch's bipartite edges and to answer
-// ad-hoc "who can serve this origin" lookups without rescanning the pool.
+// WorkerIndex is a uniform bucket grid over a worker pool for range-candidate
+// queries: "which pooled workers can serve a task at this origin". The
+// streaming dispatch engine rebuilds one per pricing window and generates the
+// window's bipartite edges from it.
 //
-// Two maintenance modes share the same query API. Reindex rebuilds a static
-// tree from scratch every batch. Update diffs the batch against the
-// previously indexed pool by worker ID and applies only the delta to a
-// dynamic (scapegoat) tree, falling back to a full rebuild when churn
-// exceeds updateRebuildFrac of the pool; under low churn this replaces the
-// per-window O(n log^2 n) rebuild with O(churn * log n) tree updates.
-// Candidate order is identical in both modes (ascending pool index), so a
-// caller may switch between them without perturbing adjacency order.
+// A build is one stable counting sort of the pool into grid cells: the cell
+// side is the pool's largest radius (so a query touches at most about three
+// cell rows), grown as needed to keep the cell count within the pool size, and
+// the grid spans the pool's own bounding box. Nothing carries over from the
+// previous build except the arenas, so a build costs the same whatever
+// changed in the pool, and in steady state allocates nothing. A query scans
+// the cell rows its disk overlaps, keeps each worker whose own range
+// constraint admits the origin — the same origin.SqDist(loc) <= r*r test as
+// BuildBipartite — and returns pool indices in ascending order, so adjacency
+// (and with it every matching tie break) is that of the pairwise scan.
+//
+// The index is total: a worker whose location is not finite or whose radius
+// is NaN can serve no task and is left out of the grid, and a task whose
+// origin is not finite has no candidates; no coordinate reaches an array
+// index unclamped. The zero value is an empty index ready for Reindex.
 type WorkerIndex struct {
-	workers []Worker
-	tree    *kdtree.Tree
-	maxR    float64
-	pts     []geo.Point // reused coordinate buffer for Reindex
-	buf     []int       // reused candidate buffer for BuildGraphInto
+	n    int     // pool size of the last build
+	maxR float64 // largest |Radius| among the gridded workers
 
-	// Incremental mode (Update). The dynamic tree stores stable slot
-	// numbers, not batch indices: the engine's pool uses swap-delete, so a
-	// worker's position moves even when the worker does not. Per batch the
-	// slotBatch table translates slots back to pool indices.
-	dyn       *kdtree.DynamicTree
-	dynMode   bool        // whether the last build used the dynamic tree
-	slotOf    map[int]int // worker ID -> slot
-	slotID    []int       // slot -> worker ID
-	slotLoc   []geo.Point // slot -> indexed location
-	slotUsed  []bool      // slot -> live
-	slotSeen  []uint32    // slot -> epoch of last batch containing it
-	slotBatch []int       // slot -> pool index in the current batch
-	slotFree  []int       // recycled slot numbers
-	epoch     uint32
-	liveSlots int
-	movedBuf  []int    // batch indices whose location changed
-	freshBuf  []int    // batch indices absent from the registry
+	// Grid of the last build: cell (cx, cy) is number cy*nx+cx and holds
+	// slots[start[c]:start[c+1]], ascending by pool index.
+	minX, minY float64
+	invX, invY float64 // cells per unit length (0 along a one-cell axis)
+	nx, ny     int
+	start      []int32
+	slots      []gridSlot
+
+	cell      []int32  // build scratch: worker -> cell, -1 when left out
+	buf       []int    // reused candidate buffer for BuildGraphInto
 	markWords []uint64 // reused bitmap for ascending candidate emission
-	stats     IndexStats
 }
 
-// IndexStats counts how Update maintained the index: batches applied as
-// deltas versus batches that fell back to a full rebuild (high churn,
-// duplicate IDs, or the initial build).
-type IndexStats struct {
-	Incremental int64
-	Rebuilds    int64
+// gridSlot is one gridded worker, packed so a query's distance filter reads
+// the cell run sequentially instead of chasing into the pool.
+type gridSlot struct {
+	loc geo.Point
+	r2  float64 // Radius*Radius, the right-hand side of the range test
+	wi  int32   // pool index
 }
 
-// Stats returns the cumulative maintenance counters.
-func (ix *WorkerIndex) Stats() IndexStats { return ix.stats }
-
-// updateRebuildFrac is the churn fraction (moves + arrivals + departures
-// over the larger of the old and new pool sizes) above which Update prefers
-// a full rebuild: past roughly a quarter of the pool the delta path does
-// more pointer-chasing than one bulk build.
-const updateRebuildFrac = 0.25
-
-// NewWorkerIndex indexes the pool. The slice is retained (not copied); the
-// caller must not mutate worker locations while the index is in use.
+// NewWorkerIndex indexes the pool. The index keeps its own copy of what it
+// needs, so the caller may change the pool afterwards; queries keep
+// answering for the pool as it was.
 func NewWorkerIndex(workers []Worker) *WorkerIndex {
 	ix := &WorkerIndex{}
 	ix.Reindex(workers)
 	return ix
 }
 
-// Reindex rebuilds the index in place over a new pool, reusing the k-d
-// tree's node arena and the coordinate buffer. The streaming engine calls it
-// once per pricing batch; in steady state a reindex allocates nothing.
+// Update indexes the pool; it is Reindex under the name callers that
+// maintain one index across windows have always used.
+func (ix *WorkerIndex) Update(workers []Worker) { ix.Reindex(workers) }
+
+// Reindex rebuilds the grid over a new pool, reusing the arenas of the
+// previous build.
 func (ix *WorkerIndex) Reindex(workers []Worker) {
-	if cap(ix.pts) >= len(workers) {
-		ix.pts = ix.pts[:len(workers)]
-	} else {
-		ix.pts = make([]geo.Point, len(workers))
-	}
+	ix.n = len(workers)
+
+	// Pass 1: reach and bounding box of the workers that can have an edge.
+	live := 0
 	maxR := 0.0
-	for i := range workers {
-		ix.pts[i] = workers[i].Loc
-		if workers[i].Radius > maxR {
-			maxR = workers[i].Radius
-		}
-	}
-	ix.workers = workers
-	ix.maxR = maxR
-	ix.dynMode = false
-	if ix.tree == nil {
-		ix.tree = kdtree.Build(ix.pts, nil)
-	} else {
-		ix.tree.Rebuild(ix.pts, nil)
-	}
-}
-
-// Update indexes the pool like Reindex but incrementally: the batch is
-// diffed against the previously indexed pool by worker ID, and only moved,
-// arrived, and departed workers touch the tree. High churn (or duplicate
-// IDs in the batch, which the slot registry cannot represent) falls back to
-// a bulk rebuild. The resulting candidate sets are identical to Reindex's.
-func (ix *WorkerIndex) Update(workers []Worker) {
-	maxR := 0.0
-	for i := range workers {
-		if workers[i].Radius > maxR {
-			maxR = workers[i].Radius
-		}
-	}
-	ix.maxR = maxR
-	if ix.dyn == nil {
-		ix.dyn = kdtree.NewDynamicTree()
-		ix.slotOf = make(map[int]int, len(workers))
-	}
-	ix.epoch++
-	prevLive := ix.liveSlots
-	if !ix.dynMode {
-		// The registry does not describe the last build (Reindex ran, or
-		// this is the first batch); start from a bulk load.
-		ix.rebuildDynamic(workers)
-		return
-	}
-
-	// Pass 1: classify the batch against the registry without touching the
-	// tree, so the churn threshold can still choose the bulk path.
-	moved, fresh, matched := ix.movedBuf[:0], ix.freshBuf[:0], 0
-	dup := false
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for i := range workers {
 		w := &workers[i]
-		slot, ok := ix.slotOf[w.ID]
-		if ok && ix.slotSeen[slot] == ix.epoch {
-			dup = true
-			break
+		if !gridded(w) {
+			continue
 		}
-		if ok {
-			ix.slotSeen[slot] = ix.epoch
-			ix.slotBatch[slot] = i
-			matched++
-			if ix.slotLoc[slot] != w.Loc {
-				moved = append(moved, i)
-			}
-		} else {
-			fresh = append(fresh, i)
-		}
+		live++
+		// The range test squares the radius, so a negative one reaches as
+		// far as its magnitude.
+		maxR = max(maxR, math.Abs(w.Radius))
+		minX, maxX = min(minX, w.Loc.X), max(maxX, w.Loc.X)
+		minY, maxY = min(minY, w.Loc.Y), max(maxY, w.Loc.Y)
 	}
-	ix.movedBuf, ix.freshBuf = moved, fresh
-	departed := prevLive - matched
-	churn := len(moved) + len(fresh) + departed
-	scale := len(workers)
-	if prevLive > scale {
-		scale = prevLive
+	ix.maxR, ix.minX, ix.minY = maxR, minX, minY
+	nx := axisCells(maxX-minX, maxR, live)
+	ny := axisCells(maxY-minY, maxR, live)
+	if nx*ny > live {
+		shrink := math.Sqrt(float64(live) / (float64(nx) * float64(ny)))
+		nx = max(1, int(float64(nx)*shrink))
+		ny = max(1, int(float64(ny)*shrink))
 	}
-	if dup || scale == 0 || float64(churn) > updateRebuildFrac*float64(scale) {
-		ix.rebuildDynamic(workers)
-		return
+	ix.nx, ix.ny = nx, ny
+	ix.invX, ix.invY = 0, 0
+	if nx > 1 {
+		ix.invX = float64(nx) / (maxX - minX)
+	}
+	if ny > 1 {
+		ix.invY = float64(ny) / (maxY - minY)
 	}
 
-	// Pass 2: apply the delta. Departures first so a freed slot can be
-	// recycled by an arrival in the same batch.
-	ix.workers = workers
-	if departed > 0 {
-		for slot, used := range ix.slotUsed {
-			if used && ix.slotSeen[slot] != ix.epoch {
-				ix.dyn.Delete(ix.slotLoc[slot], slot)
-				delete(ix.slotOf, ix.slotID[slot])
-				ix.slotUsed[slot] = false
-				ix.slotFree = append(ix.slotFree, slot)
-			}
-		}
-	}
-	for _, i := range moved {
-		w := &workers[i]
-		slot := ix.slotOf[w.ID]
-		ix.dyn.Delete(ix.slotLoc[slot], slot)
-		ix.dyn.Insert(w.Loc, slot)
-		ix.slotLoc[slot] = w.Loc
-	}
-	for _, i := range fresh {
-		w := &workers[i]
-		slot := ix.allocSlot(w.ID, w.Loc)
-		ix.slotSeen[slot] = ix.epoch
-		ix.slotBatch[slot] = i
-		ix.dyn.Insert(w.Loc, slot)
-	}
-	ix.liveSlots = len(workers)
-	ix.stats.Incremental++
-}
-
-// rebuildDynamic bulk-loads the dynamic tree and resets the slot registry
-// to slot == batch index. Duplicate IDs are tolerated: each occurrence gets
-// its own slot (the map keeps the last), so the candidate sets stay exact;
-// the inflated diff next batch simply lands on this path again.
-func (ix *WorkerIndex) rebuildDynamic(workers []Worker) {
-	n := len(workers)
-	if cap(ix.pts) >= n {
-		ix.pts = ix.pts[:n]
-	} else {
-		ix.pts = make([]geo.Point, n)
-	}
-	for k := range ix.slotOf {
-		delete(ix.slotOf, k)
-	}
-	ix.slotID = resizeInts(ix.slotID, n)
-	ix.slotLoc = ix.slotLoc[:0]
-	ix.slotUsed = ix.slotUsed[:0]
-	ix.slotSeen = ix.slotSeen[:0]
-	ix.slotBatch = resizeInts(ix.slotBatch, n)
-	ix.slotFree = ix.slotFree[:0]
+	// Pass 2: count per cell, two places up so that after the prefix sums and
+	// the scatter below start[c] is where cell c begins.
+	ix.start = resizeZeroed(ix.start, nx*ny+2)
+	ix.cell = resize(ix.cell, len(workers))
+	start, cell := ix.start, ix.cell
 	for i := range workers {
 		w := &workers[i]
-		ix.pts[i] = w.Loc
-		ix.slotOf[w.ID] = i
-		ix.slotID[i] = w.ID
-		ix.slotLoc = append(ix.slotLoc, w.Loc)
-		ix.slotUsed = append(ix.slotUsed, true)
-		ix.slotSeen = append(ix.slotSeen, ix.epoch)
-		ix.slotBatch[i] = i
+		if !gridded(w) {
+			cell[i] = -1
+			continue
+		}
+		c := axisCell(w.Loc.Y, minY, ix.invY, ny)*nx + axisCell(w.Loc.X, minX, ix.invX, nx)
+		cell[i] = int32(c)
+		start[c+2]++
 	}
-	ix.dyn.Bulk(ix.pts, nil)
-	ix.workers = workers
-	ix.liveSlots = n
-	ix.dynMode = true
-	ix.stats.Rebuilds++
+	for c := 2; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	// Pass 3: scatter in pool order, which keeps every cell ascending.
+	ix.slots = resize(ix.slots, live)
+	for i, c := range cell {
+		if c < 0 {
+			continue
+		}
+		w := &workers[i]
+		ix.slots[start[c+1]] = gridSlot{loc: w.Loc, r2: w.Radius * w.Radius, wi: int32(i)}
+		start[c+1]++
+	}
 }
 
-// allocSlot registers a new worker, recycling freed slot numbers.
-func (ix *WorkerIndex) allocSlot(id int, loc geo.Point) int {
-	if n := len(ix.slotFree); n > 0 {
-		slot := ix.slotFree[n-1]
-		ix.slotFree = ix.slotFree[:n-1]
-		ix.slotOf[id] = slot
-		ix.slotID[slot] = id
-		ix.slotLoc[slot] = loc
-		ix.slotUsed[slot] = true
-		return slot
-	}
-	slot := len(ix.slotID)
-	ix.slotOf[id] = slot
-	ix.slotID = append(ix.slotID, id)
-	ix.slotLoc = append(ix.slotLoc, loc)
-	ix.slotUsed = append(ix.slotUsed, true)
-	ix.slotSeen = append(ix.slotSeen, 0)
-	ix.slotBatch = append(ix.slotBatch, 0)
-	return slot
+// gridded reports whether the worker can have an edge at all: a non-finite
+// location or a NaN radius fails the range test against every origin.
+func gridded(w *Worker) bool {
+	return finite(w.Loc.X) && finite(w.Loc.Y) && w.Radius == w.Radius
 }
 
-func resizeInts(p []int, n int) []int {
-	if cap(p) >= n {
-		return p[:n]
+func finite(x float64) bool { return x-x == 0 }
+
+// axisCells picks the cell count along an axis of the given extent: cells at
+// least side wide, at least one, at most limit.
+func axisCells(extent, side float64, limit int) int {
+	if !(extent > 0) || limit < 1 {
+		return 1
 	}
-	return make([]int, n)
+	n := extent / side
+	if !(n < float64(limit)) { // also side == 0 and an overflowed extent
+		return limit
+	}
+	return max(1, int(n))
 }
 
-// Len returns the number of indexed workers.
-func (ix *WorkerIndex) Len() int { return len(ix.workers) }
+// axisCell maps a coordinate to its cell along an axis, clamped to the grid.
+// It is monotone in x, which is all the query needs to bracket the cells of
+// the workers between two coordinates.
+func axisCell(x, lo, inv float64, n int) int {
+	c := (x - lo) * inv
+	if !(c > 0) { // left of the box, or Inf*0 on a one-cell axis
+		return 0
+	}
+	if c >= float64(n) {
+		return n - 1
+	}
+	return int(c)
+}
+
+// axisSpan returns the cell range along an axis that holds every worker the
+// range test can admit for a task at coordinate o. The margin over maxR
+// covers the rounding in the test and in the two sums here, and the squares
+// that underflow to zero, so the bracket never loses a worker the pairwise
+// scan would keep.
+func (ix *WorkerIndex) axisSpan(o, lo, inv float64, n int) (int, int) {
+	reach := ix.maxR + (ix.maxR+math.Abs(o))*1e-15 + 1e-150
+	return axisCell(o-reach, lo, inv, n), axisCell(o+reach, lo, inv, n)
+}
 
 // Candidates appends to out the pool indices of every worker whose range
-// constraint admits a task at origin, and returns the extended slice. Pass a
-// reused buffer to stay allocation-free across queries; candidates beyond
-// the buffer's capacity still grow it as usual. Candidates are returned in
-// ascending pool order regardless of maintenance mode, so adjacency order —
-// which steers tie breaks in the greedy matching — cannot drift between
-// Reindex and Update builds of the same pool.
+// constraint admits a task at origin, in ascending order, and returns the
+// extended slice. Pass a reused buffer to stay allocation-free across
+// queries.
 func (ix *WorkerIndex) Candidates(origin geo.Point, out []int) []int {
+	if len(ix.slots) == 0 || !finite(origin.X) || !finite(origin.Y) {
+		return out
+	}
 	from := len(out)
-	keep := from
-	if ix.dynMode {
-		out = ix.dyn.InRadiusAppend(origin, ix.maxR, out)
-		// The dynamic tree yields slots; translate to this batch's pool
-		// indices and filter by each worker's own radius.
-		for _, slot := range out[from:] {
-			wi := ix.slotBatch[slot]
-			w := &ix.workers[wi]
-			if origin.SqDist(w.Loc) <= w.Radius*w.Radius {
-				out[keep] = wi
-				keep++
-			}
-		}
-	} else {
-		out = ix.tree.InRadiusAppend(origin, ix.maxR, out)
-		// Filter each candidate by its own radius in place (the tree query
-		// used the pool-wide maximum).
-		for _, wi := range out[from:] {
-			w := &ix.workers[wi]
-			if origin.SqDist(w.Loc) <= w.Radius*w.Radius {
-				out[keep] = wi
-				keep++
+	cx0, cx1 := ix.axisSpan(origin.X, ix.minX, ix.invX, ix.nx)
+	cy0, cy1 := ix.axisSpan(origin.Y, ix.minY, ix.invY, ix.ny)
+	for cy := cy0; cy <= cy1; cy++ {
+		row := cy * ix.nx
+		run := ix.slots[ix.start[row+cx0]:ix.start[row+cx1+1]]
+		for k := range run {
+			s := &run[k]
+			if origin.SqDist(s.loc) <= s.r2 {
+				out = append(out, int(s.wi))
 			}
 		}
 	}
-	out = out[:keep]
 	ix.ascending(out[from:])
 	return out
 }
 
 // ascending reorders a query's candidate pool indices into ascending order.
-// A comparison sort here costs more than the tree query it follows, so the
+// A comparison sort here costs more than the query it follows, so the
 // candidates — distinct integers below the pool size — are scattered into a
 // reused bitmap and re-emitted by scanning the touched word range: O(k +
 // (max-min)/64) per query instead of O(k log k), with the bitmap left zeroed
@@ -432,7 +330,7 @@ func (ix *WorkerIndex) ascending(cand []int) {
 		}
 		return
 	}
-	words := (len(ix.workers) + 63) / 64
+	words := (ix.n + 63) / 64
 	if cap(ix.markWords) < words {
 		ix.markWords = make([]uint64, words)
 	}
@@ -459,21 +357,13 @@ func (ix *WorkerIndex) ascending(cand []int) {
 	}
 }
 
-// BuildGraph constructs the bipartite graph of the given tasks against the
-// indexed pool: the same edge set as BuildBipartite, generated by k-d tree
-// radius queries instead of a pairwise scan.
-func (ix *WorkerIndex) BuildGraph(tasks []Task) *match.Graph {
-	return ix.BuildGraphInto(tasks, match.NewGraph(len(tasks), len(ix.workers)))
-}
-
-// BuildGraphInto is BuildGraph appending edges into a caller-reused graph
-// (reset to the batch's dimensions first), so per-window graph construction
-// reuses the previous window's adjacency arenas. It returns g.
+// BuildGraphInto constructs the bipartite graph of the given tasks against
+// the indexed pool — the same edges in the same order as BuildBipartite —
+// into a caller-reused graph (reset to the batch's dimensions first), so
+// per-window graph construction reuses the previous window's adjacency
+// arenas. It returns g.
 func (ix *WorkerIndex) BuildGraphInto(tasks []Task, g *match.Graph) *match.Graph {
-	g.Reset(len(tasks), len(ix.workers))
-	if len(tasks) == 0 || len(ix.workers) == 0 {
-		return g
-	}
+	g.Reset(len(tasks), ix.n)
 	for ti := range tasks {
 		ix.buf = ix.Candidates(tasks[ti].Origin, ix.buf[:0])
 		for _, wi := range ix.buf {
@@ -481,6 +371,18 @@ func (ix *WorkerIndex) BuildGraphInto(tasks []Task, g *match.Graph) *match.Graph
 		}
 	}
 	return g
+}
+
+// resize returns p with length n, reusing capacity; contents are unspecified.
+func resize[T any](p []T, n int) []T {
+	return slices.Grow(p[:0], n)[:n]
+}
+
+// resizeZeroed is resize with every entry zero.
+func resizeZeroed[T any](p []T, n int) []T {
+	p = resize(p, n)
+	clear(p)
+	return p
 }
 
 // GroupByCell buckets the period's tasks into per-cell local markets, each

@@ -187,68 +187,6 @@ func TestUniformModel(t *testing.T) {
 	}
 }
 
-func TestBuildBipartiteKDMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		nt, nw := rng.Intn(50), rng.Intn(50)
-		tasks := make([]Task, nt)
-		for i := range tasks {
-			tasks[i] = Task{ID: i, Origin: geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
-		}
-		workers := make([]Worker, nw)
-		for i := range workers {
-			workers[i] = Worker{ID: i,
-				Loc:    geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
-				Radius: 1 + rng.Float64()*30}
-		}
-		naive := BuildBipartite(tasks, workers)
-		kd := BuildBipartiteKD(tasks, workers)
-		if naive.NumEdges() != kd.NumEdges() {
-			t.Fatalf("trial %d: edges %d vs %d", trial, naive.NumEdges(), kd.NumEdges())
-		}
-		for l := 0; l < nt; l++ {
-			for _, r := range naive.Adj(l) {
-				if !kd.HasEdge(l, r) {
-					t.Fatalf("trial %d: kd graph missing edge (%d,%d)", trial, l, r)
-				}
-			}
-		}
-	}
-}
-
-func TestWorkerIndexMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 30; trial++ {
-		nt, nw := rng.Intn(50), rng.Intn(50)
-		tasks := make([]Task, nt)
-		for i := range tasks {
-			tasks[i] = Task{ID: i, Origin: geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
-		}
-		workers := make([]Worker, nw)
-		for i := range workers {
-			workers[i] = Worker{ID: i,
-				Loc:    geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
-				Radius: 1 + rng.Float64()*30}
-		}
-		ix := NewWorkerIndex(workers)
-		if ix.Len() != nw {
-			t.Fatalf("trial %d: index len %d, want %d", trial, ix.Len(), nw)
-		}
-		naive := BuildBipartite(tasks, workers)
-		got := ix.BuildGraph(tasks)
-		if naive.NumEdges() != got.NumEdges() {
-			t.Fatalf("trial %d: edges %d vs %d", trial, naive.NumEdges(), got.NumEdges())
-		}
-		for l := 0; l < nt; l++ {
-			for _, r := range naive.Adj(l) {
-				if !got.HasEdge(l, r) {
-					t.Fatalf("trial %d: index graph missing edge (%d,%d)", trial, l, r)
-				}
-			}
-		}
-	}
-}
-
 func TestWorkerIndexCandidates(t *testing.T) {
 	workers := []Worker{
 		{ID: 0, Loc: geo.Point{X: 10, Y: 10}, Radius: 5},

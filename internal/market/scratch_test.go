@@ -60,34 +60,3 @@ func TestCellIndexScratchMatchesFresh(t *testing.T) {
 		sameGraph(t, round, got, want)
 	}
 }
-
-// TestWorkerIndexReindexMatchesFresh checks the in-place reindex against a
-// fresh index: same candidates, same graph, same enumeration order.
-func TestWorkerIndexReindexMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	var reused *WorkerIndex
-	g := match.NewGraph(0, 0)
-	for round := 0; round < 40; round++ {
-		tasks, workers := randomBatch(rng, rng.Intn(60), rng.Intn(120))
-		if reused == nil {
-			reused = NewWorkerIndex(workers)
-		} else {
-			reused.Reindex(workers)
-		}
-		fresh := NewWorkerIndex(workers)
-		var buf []int
-		for ti := range tasks {
-			got := reused.Candidates(tasks[ti].Origin, buf[:0])
-			want := fresh.Candidates(tasks[ti].Origin, nil)
-			if len(got) != len(want) {
-				t.Fatalf("round %d task %d: candidates %v, want %v", round, ti, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("round %d task %d: candidate order %v, want %v", round, ti, got, want)
-				}
-			}
-		}
-		sameGraph(t, round, reused.BuildGraphInto(tasks, g), fresh.BuildGraph(tasks))
-	}
-}

@@ -133,21 +133,13 @@ func (s *Server) submitBatchAdmitted(t *Tenant, evs []engine.Event) (int, error)
 	return accepted, engine.ErrBusy
 }
 
-// validateBinaryEvents applies the same semantic checks the JSON decoder
-// enforces (WireEvent.Event), so the two codecs admit exactly the same event
-// space: a malformed event rejects identically whichever wire form carried
-// it.
+// validateBinaryEvents applies validateEvent — the check the JSON decoder
+// makes in WireEvent.Event — to a decoded batch, so a malformed event rejects
+// identically whichever wire form carried it.
 func validateBinaryEvents(evs []engine.Event, base int) error {
-	for i, ev := range evs {
-		switch ev.Kind {
-		case engine.KindTaskArrival:
-			if ev.Task.Distance < 0 {
-				return fmt.Errorf("event %d: task %d has negative distance %v", base+i+1, ev.Task.ID, ev.Task.Distance)
-			}
-		case engine.KindWorkerOnline:
-			if ev.Worker.Radius <= 0 {
-				return fmt.Errorf("event %d: worker %d has non-positive radius %v", base+i+1, ev.Worker.ID, ev.Worker.Radius)
-			}
+	for i := range evs {
+		if err := validateEvent(&evs[i]); err != nil {
+			return fmt.Errorf("event %d: %v", base+i+1, err)
 		}
 	}
 	return nil

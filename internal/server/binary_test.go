@@ -305,9 +305,9 @@ func BenchmarkIngestLoopback(b *testing.B) {
 	frameBody := binaryBody(b, evs, 1024)
 
 	// The stream fully turns the worker pool over each period, so per-window
-	// k-d rebuilds would dominate the engine floor both codecs share;
-	// cell-index graphs (identical adjacency, no tree maintenance) keep the
-	// measurement on the wire path instead.
+	// worker-index rebuilds would weigh on the engine floor both codecs
+	// share; cell-index graphs (identical edge sets) keep the measurement
+	// on the wire path instead.
 	benchCfg := func() engine.Config {
 		cfg := flatEngineConfig(in, 0)
 		cfg.CellIndexGraphs = true

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"spatialcrowd/internal/engine"
 )
@@ -171,10 +172,26 @@ var metricFamilies = []metricFamily{
 		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.Cache.PriceHits) }),
 	counter("spatialcrowd_price_cache_misses_total", "Pricing windows that invoked the strategy's Prices (amortization on).",
 		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.Cache.PriceMisses) }),
-	counter("spatialcrowd_kd_incremental_total", "Worker-index updates applied as incremental deltas (amortization on, kd mode).",
+	counter("spatialcrowd_kd_incremental_total", "Always 0: the worker index is rebuilt per window (kept for dashboards built on it).",
 		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.Cache.KDIncremental) }),
-	counter("spatialcrowd_kd_rebuilds_total", "Worker-index updates that fell back to a bulk rebuild (amortization on, kd mode).",
+	counter("spatialcrowd_kd_rebuilds_total", "Worker-index builds, one per window whose graph was not reused (amortization on, kd mode).",
 		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.Cache.KDRebuilds) }),
+	counter("spatialcrowd_window_stage_windows_total", "Priced windows behind spatialcrowd_window_stage_seconds_total.",
+		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.Stages.Windows) }),
+	{
+		name: "spatialcrowd_window_stage_seconds_total", typ: "counter",
+		help: "Wall time of the window close per stage, summed over shards (match and observe: immediately resolved windows only).",
+		sample: func(b *strings.Builder, tenant string, _ *Tenant, st engine.Stats, _ engine.QueueDepths) {
+			sg := st.Stages
+			for _, stage := range []struct {
+				name string
+				d    time.Duration
+			}{{"graph", sg.Graph}, {"context", sg.Context}, {"price", sg.Price}, {"match", sg.Match}, {"observe", sg.Observe}} {
+				writeSample(b, "spatialcrowd_window_stage_seconds_total", tenant,
+					[]string{"stage", stage.name}, stage.d.Seconds())
+			}
+		},
+	},
 	counter("spatialcrowd_quote_stream_dropped_total", "SSE frames dropped on slow quote-stream subscribers.",
 		func(t *Tenant, _ engine.Stats, _ engine.QueueDepths) float64 { return float64(t.hub.Dropped()) }),
 	gauge("spatialcrowd_wal_last_lsn", "Last LSN appended to the tenant's write-ahead log (0 without a WAL).",

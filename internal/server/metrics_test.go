@@ -190,6 +190,21 @@ func TestMetricsExposition(t *testing.T) {
 			}
 		}
 
+		// Stage timings: one counter per stage, and the stages every window
+		// runs (graph, context, price) have accumulated time over a non-zero
+		// window count.
+		if w, ok := findSample(samples, "spatialcrowd_window_stage_windows_total", lbl); !ok || w.value <= 0 {
+			t.Errorf("[%s] window_stage_windows_total missing or zero", tenant)
+		}
+		for _, stage := range []string{"graph", "context", "price", "match", "observe"} {
+			s, ok := findSample(samples, "spatialcrowd_window_stage_seconds_total", map[string]string{"tenant": tenant, "stage": stage})
+			if !ok {
+				t.Errorf("[%s] missing window_stage_seconds_total{stage=%s}", tenant, stage)
+			} else if s.value <= 0 && stage != "match" && stage != "observe" {
+				t.Errorf("[%s] window_stage_seconds_total{stage=%s} = %v, want > 0", tenant, stage, s.value)
+			}
+		}
+
 		if ing, ok := findSample(samples, "spatialcrowd_http_ingested_total", lbl); !ok || ing.value <= 0 {
 			t.Errorf("[%s] http_ingested_total missing or zero", tenant)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 
 	"spatialcrowd/internal/engine"
 	"spatialcrowd/internal/geo"
@@ -87,10 +88,7 @@ func (w *WireEvent) Event() (engine.Event, error) {
 		if w.Task.Dest != nil {
 			t.Dest = w.Task.Dest.point()
 		}
-		if t.Distance < 0 {
-			return engine.Event{}, fmt.Errorf("task %d has negative distance %v", t.ID, t.Distance)
-		}
-		return engine.TaskArrival(t), nil
+		return validated(engine.TaskArrival(t))
 	case WireWorkerOnline:
 		if w.Worker == nil {
 			return engine.Event{}, fmt.Errorf(`event type %q needs a "worker" payload`, w.Type)
@@ -102,17 +100,14 @@ func (w *WireEvent) Event() (engine.Event, error) {
 			Radius:   w.Worker.Radius,
 			Duration: w.Worker.Duration,
 		}
-		if wk.Radius <= 0 {
-			return engine.Event{}, fmt.Errorf("worker %d has non-positive radius %v", wk.ID, wk.Radius)
-		}
-		return engine.WorkerOnline(wk), nil
+		return validated(engine.WorkerOnline(wk))
 	case WireWorkerOffline:
 		return engine.WorkerOffline(w.WorkerID), nil
 	case WireWorkerMove:
 		if w.To == nil {
 			return engine.Event{}, fmt.Errorf(`event type %q needs a "to" position`, w.Type)
 		}
-		return engine.WorkerMove(w.WorkerID, w.To.point()), nil
+		return validated(engine.WorkerMove(w.WorkerID, w.To.point()))
 	case WireDecisionReply:
 		return engine.AcceptDecision(w.TaskID, w.Accept), nil
 	case WireTick:
@@ -121,6 +116,55 @@ func (w *WireEvent) Event() (engine.Event, error) {
 		return engine.Event{}, fmt.Errorf("unknown event type %q", w.Type)
 	}
 }
+
+func validated(ev engine.Event) (engine.Event, error) {
+	if err := validateEvent(&ev); err != nil {
+		return engine.Event{}, err
+	}
+	return ev, nil
+}
+
+// validateEvent is the semantic check every codec applies to a decoded
+// event before it reaches the engine, so all wire forms admit exactly the
+// same event space and refuse the rest with the same message. Positions,
+// distances and radii must be finite — downstream they become array indices
+// (cell lookups, the worker grid) and comparisons that NaN silently fails —
+// distances non-negative and radii positive.
+func validateEvent(ev *engine.Event) error {
+	switch ev.Kind {
+	case engine.KindTaskArrival:
+		t := &ev.Task
+		if !finitePoint(t.Origin) || !finitePoint(t.Dest) {
+			return fmt.Errorf("task %d has a non-finite position", t.ID)
+		}
+		if t.Distance < 0 {
+			return fmt.Errorf("task %d has negative distance %v", t.ID, t.Distance)
+		}
+		if !finite(t.Distance) {
+			return fmt.Errorf("task %d has non-finite distance %v", t.ID, t.Distance)
+		}
+	case engine.KindWorkerOnline:
+		w := &ev.Worker
+		if !finitePoint(w.Loc) {
+			return fmt.Errorf("worker %d has a non-finite position", w.ID)
+		}
+		if w.Radius <= 0 {
+			return fmt.Errorf("worker %d has non-positive radius %v", w.ID, w.Radius)
+		}
+		if !finite(w.Radius) {
+			return fmt.Errorf("worker %d has non-finite radius %v", w.ID, w.Radius)
+		}
+	case engine.KindWorkerMove:
+		if !finitePoint(ev.Loc) {
+			return fmt.Errorf("worker %d moves to a non-finite position", ev.WorkerID)
+		}
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func finitePoint(p geo.Point) bool { return finite(p.X) && finite(p.Y) }
 
 // FromEvent converts an engine event into its wire form: the encoder the
 // load generator uses, and the exact inverse of Event for every public

@@ -137,7 +137,7 @@ func NewRoadSpace(net *roadnet.Network, cells int) (*RoadSpace, error) {
 
 	return &RoadSpace{
 		net:        net,
-		snap:       kdtree.Build(coords, nil),
+		snap:       kdtree.Build(coords),
 		cellOfNode: cellOfNode,
 		seeds:      seeds,
 		adj:        adj,
@@ -190,7 +190,7 @@ func (rs *RoadSpace) NeighborsAppend(cell int, out []int) []int {
 // distance r of center. For node-snapped populations (everything the road
 // workload generators emit) this is exactly the set of cells that can hold a
 // position within r; off-network positions may snap outside it, so mixed
-// populations should use the k-d tree index (market.BuildBipartiteKD)
+// populations should use the worker index (market.WorkerIndex)
 // instead of the cell index.
 func (rs *RoadSpace) CellsInRange(center geo.Point, r float64) []int {
 	return rs.CellsInRangeAppend(center, r, nil)

@@ -9,10 +9,10 @@
 //
 // A window executes in two phases:
 //
-//  1. Price: build the task-worker bipartite graph (cell-index or k-d tree
-//     candidates), assemble the strategy-facing PeriodContext, and ask the
-//     Strategy for one unit price per task. A malformed price vector is a
-//     typed *PriceCountError, never a panic.
+//  1. Price: build the task-worker bipartite graph (cell-index or
+//     worker-index candidates), assemble the strategy-facing PeriodContext,
+//     and ask the Strategy for one unit price per task. A malformed price
+//     vector is a typed *PriceCountError, never a panic.
 //  2. Resolve: either immediately (ResolveImmediate — requesters decide
 //     against their private valuations and accepting tasks are assigned by
 //     the exact left-weighted maximum-weight matching) or quoted
@@ -46,9 +46,10 @@ const (
 	// breaks, is byte-identical to the simulator's, which is what makes
 	// deterministic replay reproduce sim revenue bit for bit.
 	GraphCellIndex GraphMode = iota
-	// GraphKD builds the graph from k-d tree candidates over the worker
-	// pool — the same edge set in a different adjacency order; faster on
-	// large pools.
+	// GraphKD builds the graph from market.WorkerIndex, a bucket grid over
+	// the worker pool itself (the name predates the grid) — the pairwise
+	// scan's edge set and adjacency order, whatever the spatial backend's
+	// cells look like; faster on large pools.
 	GraphKD
 )
 
@@ -75,9 +76,13 @@ type Priced struct {
 	Ctx    *core.PeriodContext
 	Graph  *match.Graph
 	Prices []float64
-	// PriceTime is the wall time spent inside Strategy.Prices — the
-	// simulator's "running time" metric excludes the platform's own work.
-	PriceTime time.Duration
+	// GraphTime and ContextTime are the wall time Rebuild spent producing
+	// Graph (cache keys included) and Ctx; PriceTime is the wall time spent
+	// inside Strategy.Prices — the simulator's "running time" metric
+	// excludes the platform's own work.
+	GraphTime   time.Duration
+	ContextTime time.Duration
+	PriceTime   time.Duration
 }
 
 // Outcome is the settled result of one window: the requesters' decisions,
@@ -115,8 +120,8 @@ type Executor struct {
 
 	// Arenas, reused window over window.
 	cellIx  market.CellIndexScratch // graph builder (cell-index mode)
-	ix      *market.WorkerIndex     // k-d candidate index (kd mode)
-	kdGraph *match.Graph            // bipartite graph arena (kd mode)
+	ix      market.WorkerIndex      // worker bucket grid (GraphKD mode)
+	kdGraph *match.Graph            // bipartite graph arena (GraphKD mode)
 	ctxSc   core.ContextScratch     // PeriodContext arena
 	mw      match.MaxWeightScratch  // immediate-assignment arena
 	inc     *match.Incremental      // quoted-batch matcher, reset per quote
@@ -129,9 +134,9 @@ type Executor struct {
 	out Outcome
 
 	// Amortization layer (SetAmortize): fingerprint-gated reuse of the
-	// context, graph, and price vector across consecutive windows, plus
-	// incremental k-d maintenance. Off by default; transparent when on —
-	// cache hits return content bit-identical to a fresh rebuild.
+	// context, graph, and price vector across consecutive windows. Off by
+	// default; transparent when on — cache hits return content bit-identical
+	// to a fresh rebuild.
 	am        amortizer
 	lastGraph *match.Graph // graph returned by the previous Rebuild
 }
@@ -168,8 +173,9 @@ type amortizer struct {
 // one context hit or miss, so CtxHits + CtxMisses equals the number of
 // windows executed. Price counters likewise score one outcome per Price
 // call (strategies that do not opt into price caching always score a
-// miss). KD counters mirror market.IndexStats: windows whose worker index
-// was maintained by delta application versus bulk rebuilds.
+// miss). KDRebuilds counts the worker-index builds of GraphKD mode (one per
+// window whose graph was not reused); every build is a full rebuild, so
+// KDIncremental stays zero and remains only for the stats wire format.
 type CacheStats struct {
 	CtxHits       int64
 	CtxMisses     int64
@@ -217,8 +223,7 @@ func (x *Executor) Mode() GraphMode { return x.mode }
 // fingerprints the window's tasks and workers and reuses the previous
 // window's context (same tasks), graph (same tasks and workers), and — for
 // core.PriceCacheable strategies via Price — price vector (same inputs and
-// strategy state version); the k-d worker index is additionally maintained
-// incrementally under low churn. Disabling also invalidates the cache.
+// strategy state version). Disabling also invalidates the cache.
 func (x *Executor) SetAmortize(on bool) {
 	x.am.enabled = on
 	if !on {
@@ -238,16 +243,8 @@ func (x *Executor) InvalidateCache() {
 	x.am.sameTasks, x.am.sameWorkers = false, false
 }
 
-// CacheStats returns the cumulative cache counters, folding in the worker
-// index's maintenance counters when the executor runs in kd mode.
-func (x *Executor) CacheStats() CacheStats {
-	st := x.am.stats
-	if x.ix != nil {
-		ks := x.ix.Stats()
-		st.KDIncremental, st.KDRebuilds = ks.Incremental, ks.Rebuilds
-	}
-	return st
-}
+// CacheStats returns the cumulative cache counters.
+func (x *Executor) CacheStats() CacheStats { return x.am.stats }
 
 // Price executes phase one of a window: build the batch graph and context
 // over the executor's arenas and price the tasks with the strategy. The
@@ -299,23 +296,19 @@ func (x *Executor) Price(strat core.Strategy, period int, tasks []market.Task, w
 // pending quoted batch against prices recorded earlier; construction is
 // deterministic, so the rebuilt adjacency is identical to the original.
 func (x *Executor) Rebuild(period int, tasks []market.Task, workers []market.Worker) *Priced {
-	if !x.am.enabled {
-		graph := x.buildGraph(tasks, workers, false)
-		ctx := core.BuildContextScratch(x.space, period, tasks, workers, graph, &x.ctxSc)
-		x.pr = Priced{Ctx: ctx, Graph: graph}
-		x.lastGraph = graph
-		return &x.pr
+	t0 := time.Now() //lint:detsource GraphTime metric only
+	sameTasks, sameWorkers := false, false
+	if x.am.enabled {
+		taskFP := core.TasksFingerprint(tasks)
+		workerFP := core.WorkersFingerprint(workers)
+		// The length guard backs up the fingerprint: a (vanishingly unlikely)
+		// collision across different batch sizes must not slice stale views.
+		sameTasks = x.am.have && taskFP == x.am.taskFP && x.ctxSc.Len() == len(tasks)
+		sameWorkers = x.am.have && workerFP == x.am.workerFP
+		x.am.sameTasks, x.am.sameWorkers = sameTasks, sameWorkers
+		x.am.taskFP, x.am.workerFP = taskFP, workerFP
+		x.am.have = true
 	}
-
-	taskFP := core.TasksFingerprint(tasks)
-	workerFP := core.WorkersFingerprint(workers)
-	// The length guard backs up the fingerprint: a (vanishingly unlikely)
-	// collision across different batch sizes must not slice stale views.
-	sameTasks := x.am.have && taskFP == x.am.taskFP && x.ctxSc.Len() == len(tasks)
-	sameWorkers := x.am.have && workerFP == x.am.workerFP
-	x.am.sameTasks, x.am.sameWorkers = sameTasks, sameWorkers
-	x.am.taskFP, x.am.workerFP = taskFP, workerFP
-	x.am.have = true
 
 	var graph *match.Graph
 	if sameTasks && sameWorkers && x.lastGraph != nil {
@@ -323,43 +316,41 @@ func (x *Executor) Rebuild(period int, tasks []market.Task, workers []market.Wor
 		// builder would produce, and nothing has touched it since.
 		graph = x.lastGraph
 	} else {
-		graph = x.buildGraph(tasks, workers, true)
+		graph = x.buildGraph(tasks, workers)
 	}
+	t1 := time.Now() //lint:detsource GraphTime/ContextTime metrics only
 	var ctx *core.PeriodContext
 	if sameTasks {
 		ctx = core.ReuseContextScratch(&x.ctxSc, period, tasks, workers, graph)
 		x.am.stats.CtxHits++
 	} else {
 		ctx = core.BuildContextScratch(x.space, period, tasks, workers, graph, &x.ctxSc)
-		x.am.stats.CtxMisses++
+		if x.am.enabled {
+			x.am.stats.CtxMisses++
+		}
 	}
-	x.pr = Priced{Ctx: ctx, Graph: graph}
+	x.pr = Priced{Ctx: ctx, Graph: graph,
+		GraphTime: t1.Sub(t0), ContextTime: time.Since(t1)} //lint:detsource ContextTime metric only
 	x.lastGraph = graph
 	return &x.pr
 }
 
 // buildGraph constructs the batch bipartite graph in the executor's mode.
-// In kd mode with amortization the worker index is maintained incrementally
-// (market.WorkerIndex.Update); candidate order is ascending either way, so
-// the two maintenance modes build identical adjacency.
-func (x *Executor) buildGraph(tasks []market.Task, workers []market.Worker, amortized bool) *match.Graph {
-	switch x.mode {
-	case GraphKD:
-		if x.ix == nil {
-			x.ix = &market.WorkerIndex{}
-		}
-		if amortized {
-			x.ix.Update(workers)
-		} else {
-			x.ix.Reindex(workers)
-		}
-		if x.kdGraph == nil {
-			x.kdGraph = match.NewGraph(len(tasks), len(workers))
-		}
-		return x.ix.BuildGraphInto(tasks, x.kdGraph)
-	default:
+// Both builders emit each task's workers in ascending batch index from a
+// structure rebuilt for this window alone, so the graph is a function of the
+// batch and of nothing the executor saw before.
+func (x *Executor) buildGraph(tasks []market.Task, workers []market.Worker) *match.Graph {
+	if x.mode != GraphKD {
 		return market.BuildBipartiteCellIndexScratch(x.space, tasks, workers, &x.cellIx)
 	}
+	if x.kdGraph == nil {
+		x.kdGraph = match.NewGraph(len(tasks), len(workers))
+	}
+	if x.am.enabled {
+		x.am.stats.KDRebuilds++
+	}
+	x.ix.Reindex(workers)
+	return x.ix.BuildGraphInto(tasks, x.kdGraph)
 }
 
 // ResolveImmediate executes phase two in immediate mode: requesters decide

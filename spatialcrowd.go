@@ -178,8 +178,8 @@ type (
 	// (graph builder, pricing context, matchers). One executor serves one
 	// goroutine.
 	WindowExecutor = window.Executor
-	// WindowGraphMode selects the batch graph builder (cell index or k-d
-	// tree candidates).
+	// WindowGraphMode selects the batch graph builder (cell index or
+	// worker-index candidates).
 	WindowGraphMode = window.GraphMode
 	// WindowPriced is a priced, not-yet-resolved window.
 	WindowPriced = window.Priced
@@ -196,8 +196,9 @@ const (
 	// cell index — the offline simulator's construction, byte-identical
 	// adjacency for deterministic replay.
 	WindowGraphCellIndex = window.GraphCellIndex
-	// WindowGraphKD enumerates candidates through a k-d tree — same edge
-	// set, faster on large pools.
+	// WindowGraphKD enumerates candidates through a bucket grid over the
+	// worker pool (the name predates it) — same edge set, faster on large
+	// pools.
 	WindowGraphKD = window.GraphKD
 )
 
@@ -229,7 +230,7 @@ type (
 	// Engine is the real-time streaming dispatch engine: it ingests task /
 	// worker / decision events, prices batches every window with any
 	// Strategy, and assigns accepting tasks with incremental augmenting
-	// paths over k-d tree candidates.
+	// paths over worker-index candidates.
 	Engine = engine.Engine
 	// EngineConfig parameterizes NewEngine (shards, window, strategy).
 	EngineConfig = engine.Config
@@ -354,8 +355,8 @@ var ErrEngineBusy = engine.ErrBusy
 type EngineQueueDepths = engine.QueueDepths
 
 // DefaultEngineShards is the shard count used when none is specified:
-// GOMAXPROCS clamped to the cell count (an engine never needs more shards
-// than cells), floor 1.
+// min(GOMAXPROCS, cells) floored at 1 (an engine never needs more shards
+// than cells, and a space without cells gets one on any host).
 func DefaultEngineShards(cells int) int { return engine.DefaultShards(cells) }
 
 type (
