@@ -306,7 +306,7 @@ func BenchmarkBipartiteBuild(b *testing.B) {
 	b.Run("cell-fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			market.BuildBipartiteIndexed(in, tasks, workers)
+			market.BuildBipartiteCellIndexScratch(in.Spatial(), tasks, workers, nil)
 		}
 	})
 	b.Run("cell-scratch", func(b *testing.B) {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench EngineThroughput -benchmem . | \
+//	go test -run xxx -bench 'ShardBatch$' -benchmem ./internal/engine | \
 //	    go run ./cmd/benchgate -baseline BENCH_engine.json -max-regress 0.20
 //	go test -run xxx -bench . -benchmem . | \
 //	    go run ./cmd/benchgate -write BENCH_engine.json
@@ -85,7 +85,7 @@ func main() {
 
 	if *writePath != "" {
 		out := Baseline{
-			Note:    "committed perf baseline; regenerate with: go test -run xxx -bench 'EngineThroughput$|ShardBatch$|BipartiteBuild|RoadSpaceDistContended$|RoadSpaceDistCached$|LowChurnWindow|WorkerIndexBuild|WALAppend|IngestLoopback' -benchmem -benchtime 0.5s ./... | go run ./cmd/benchgate -write BENCH_engine.json",
+			Note:    "micro-gates for 0-alloc and format properties (end-to-end numbers live in BENCHMARK.json / go run ./bench); regenerate with: go test -run xxx -bench 'ShardBatch$|BipartiteBuild|RoadSpaceDistContended$|RoadSpaceDistCached$|LowChurnWindow|WorkerIndexBuild|WALAppend' -benchmem -benchtime 0.5s ./... | go run ./cmd/benchgate -write BENCH_engine.json",
 			Results: results,
 		}
 		data, err := json.MarshalIndent(out, "", "  ")

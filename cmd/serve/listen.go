@@ -3,9 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -94,7 +92,7 @@ func runListen(o *options) error {
 			o.walDir, o.walSync)
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := srv.HTTPServer()
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 
@@ -204,7 +202,7 @@ func runSelftest(o *options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := srv.HTTPServer()
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 

@@ -6,7 +6,7 @@
 package main
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
 
@@ -66,11 +66,17 @@ func main() {
 		fmt.Printf("       quarter %d revenue: %8.0f\n", q+1, sum)
 	}
 
-	var checkpoint bytes.Buffer
-	if err := day1.SaveState(&checkpoint); err != nil {
+	// StrategyState is the one serialized form of learned state — the same
+	// snapshot the engine's checkpoints carry — and travels as JSON.
+	state, err := day1.SnapshotState()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint: %d bytes of learned demand statistics\n", checkpoint.Len())
+	checkpoint, err := json.Marshal(state)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("checkpoint: %d bytes of learned demand statistics\n", len(checkpoint))
 
 	// --- Day 2: a fresh process restores the state and keeps earning
 	// without re-calibrating.
@@ -78,7 +84,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := day2.LoadState(&checkpoint); err != nil {
+	var restored spatialcrowd.StrategyState
+	if err := json.Unmarshal(checkpoint, &restored); err != nil {
+		log.Fatal(err)
+	}
+	if err := day2.RestoreState(restored); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("restored: base price %.3f, smoothing %.2f\n", day2.BasePrice(), day2.Smoothing)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"spatialcrowd/internal/geo"
@@ -98,70 +96,11 @@ func TestMAPSWithSmoothingStillOnePricePerCell(t *testing.T) {
 	}
 }
 
-func TestMAPSSaveLoadRoundTrip(t *testing.T) {
-	m1, _ := NewMAPS(DefaultParams(), 2.2)
-	m1.Smoothing = 0.25
-	rng := rand.New(rand.NewSource(5))
-	for cell := 0; cell < 6; cell++ {
-		cs := m1.CellStats(cell)
-		for _, p := range cs.Ladder() {
-			tried := 50 + rng.Intn(500)
-			cs.Seed(p, tried, rng.Intn(tried+1))
-		}
-	}
-	var buf bytes.Buffer
-	if err := m1.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, _ := NewMAPS(DefaultParams(), 1.0)
-	if err := m2.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if m2.BasePrice() != m1.BasePrice() || m2.Smoothing != m1.Smoothing {
-		t.Errorf("scalar state differs: pb %v/%v smoothing %v/%v",
-			m2.BasePrice(), m1.BasePrice(), m2.Smoothing, m1.Smoothing)
-	}
-	for cell := 0; cell < 6; cell++ {
-		a, b := m1.CellStats(cell), m2.CellStats(cell)
-		if a.Total() != b.Total() {
-			t.Fatalf("cell %d total %d vs %d", cell, a.Total(), b.Total())
-		}
-		for _, p := range a.Ladder() {
-			if a.TriedAt(p) != b.TriedAt(p) || math.Abs(a.MeanAt(p)-b.MeanAt(p)) > 1e-12 {
-				t.Fatalf("cell %d price %v: stats differ", cell, p)
-			}
-		}
-	}
-	// Save the restored copy: must be byte-identical (deterministic order).
-	var buf2 bytes.Buffer
-	if err := m2.SaveState(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Error("round-tripped snapshot differs")
-	}
-}
-
-func TestMAPSLoadStateRejectsGarbage(t *testing.T) {
-	m, _ := NewMAPS(DefaultParams(), 2)
-	cases := []string{
-		"not json",
-		`{"version":99,"ladder":[1,2]}`,
-		`{"version":1,"ladder":[]}`,
-		`{"version":1,"ladder":[2,1]}`,
-		`{"version":1,"ladder":[1,2],"cells":[{"cell":-1}]}`,
-		`{"version":1,"ladder":[1,2],"cells":[{"cell":0,"prices":[{"price":1,"tried":2,"accepts":5}]}]}`,
-	}
-	for i, c := range cases {
-		if err := m.LoadState(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d should be rejected", i)
-		}
-	}
-}
-
-func TestMAPSLoadedStatePricesLikeOriginal(t *testing.T) {
-	// A restored strategy must make the same pricing decisions.
+// TestRestoredStateReplacesBasePrice: snapshot_test.go restores into a
+// strategy built like the original; a redeployed service restores into one
+// built with whatever base price it had at hand, and must still make the
+// original's pricing decisions.
+func TestRestoredStateReplacesBasePrice(t *testing.T) {
 	ctx := exampleContext(t)
 	m1, _ := NewMAPS(Params{PMin: 1, PMax: 3, Alpha: 0.5, Eps: 0.2, Delta: 0.01}, 2)
 	m1.SetLadder([]float64{1, 2, 3})
@@ -171,13 +110,16 @@ func TestMAPSLoadedStatePricesLikeOriginal(t *testing.T) {
 		cs.Seed(2, 100000, 80000)
 		cs.Seed(3, 100000, 50000)
 	}
-	var buf bytes.Buffer
-	if err := m1.SaveState(&buf); err != nil {
+	st, err := m1.SnapshotState()
+	if err != nil {
 		t.Fatal(err)
 	}
 	m2, _ := NewMAPS(Params{PMin: 1, PMax: 3, Alpha: 0.5, Eps: 0.2, Delta: 0.01}, 1)
-	if err := m2.LoadState(&buf); err != nil {
+	if err := m2.RestoreState(st); err != nil {
 		t.Fatal(err)
+	}
+	if m2.BasePrice() != m1.BasePrice() {
+		t.Fatalf("restored base price %v, want %v", m2.BasePrice(), m1.BasePrice())
 	}
 	p1 := m1.Prices(ctx)
 	p2 := m2.Prices(ctx)

@@ -1,13 +1,12 @@
 package core
 
-// Exact strategy-state snapshots. Unlike the cross-deployment persistence
-// format of persist.go (SaveState/LoadState), which deliberately drops the
-// change-detection windows so a redeployed service re-learns its reference
-// ratios, these snapshots capture the complete learning state — including
-// window counters — so that restoring a strategy and resuming the exact
-// same observation stream reproduces every subsequent pricing decision bit
-// for bit. The engine's checkpoint/restore path (crash recovery) depends on
-// that exactness.
+// Exact strategy-state snapshots: the one serialized form of a strategy's
+// learned state. A snapshot captures the complete learning state —
+// including the change-detection window counters — so that restoring a
+// strategy and resuming the exact same observation stream reproduces every
+// subsequent pricing decision bit for bit. The engine's checkpoint/restore
+// path (crash recovery) depends on that exactness; a pricing service
+// carrying its statistics across a redeploy uses the same snapshot.
 //
 // The state decomposes spatially: a StrategyState carries one Head (the
 // non-spatial scalars: base price, ladder, smoothing) plus one CellSnapshot
@@ -21,6 +20,9 @@ import (
 	"fmt"
 	"sort"
 )
+
+// snapshotVersion is the version every strategy head carries.
+const snapshotVersion = 1
 
 // PriceSnap is one candidate price's exact learned state: the lifetime
 // counts plus the sliding change-detection window of Section 4.2.2.

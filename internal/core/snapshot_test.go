@@ -28,7 +28,7 @@ func observeStream(t *testing.T, s Strategy, seed int64, n int) {
 // TestSnapshotStateExactRoundTrip: after restoring a snapshot, the strategy
 // must be indistinguishable from the original — continuing the identical
 // observation stream yields identical prices and an identical re-snapshot
-// (window counters included, unlike the SaveState format).
+// (window counters included).
 func TestSnapshotStateExactRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -101,6 +101,7 @@ func TestSnapshotStateRejectsGarbage(t *testing.T) {
 	m, _ := NewMAPS(DefaultParams(), 2)
 	cases := []StrategyState{
 		{Kind: "maps"}, // no head
+		{Kind: "maps", Head: json.RawMessage(`not json`)},
 		{Kind: "maps", Head: json.RawMessage(`{"version":99,"ladder":[1,2]}`)},
 		{Kind: "maps", Head: json.RawMessage(`{"version":1,"ladder":[]}`)},
 		{Kind: "maps", Head: json.RawMessage(`{"version":1,"ladder":[2,1]}`)},

@@ -1,23 +1,28 @@
 package engine
 
-// Batched submission: the ingest fast path hands a decoded batch of events
-// to the engine in ONE bounded-channel operation instead of N. A kindBatch
-// envelope carries the accepted events across the router channel; the router
-// unpacks it in order, so a batch is indistinguishable from the same events
-// submitted singly — same routing, same WAL order, same decisions.
+// The engine's one ingest path. Every submission is a batch: Submit and
+// TrySubmit are batches of one, SubmitBatch and TrySubmitBatch take a slice,
+// ReplayWith submits one batch per period and RecoverWAL replays the log in
+// chunks. admit turns a batch into chunks of at most batchChunk events and
+// runs each through admitChunk: under one mutex, budget -> append to the WAL
+// -> apply. Because append and apply happen in that order under that lock,
+// the log order is the apply order and a stream produces the same decisions,
+// ledger and log bytes however it was cut into batches.
 //
-// Admission stays bounded at batch granularity: an envelope occupies one
-// channel slot but represents many events, so the engine tracks the events
-// of not-yet-unpacked envelopes in batchPending and admits at most
+// Admission is bounded in events. A chunk crosses the router channel as one
+// kindBatch envelope, so the channel's slot count says nothing about how
+// much is buffered; batchPending counts the events of envelopes the router
+// has not finished dispatching, and a call is admitted at most
 //
-//	cap(in) - len(in) - batchPending
+//	cap(in) - batchPending
 //
-// events per call. A batch that does not fit is accepted as a prefix —
-// TrySubmitBatch reports how many events were taken alongside ErrBusy, the
-// exact contract the HTTP server's 429-resume protocol exposes to clients
-// (the accepted count is the resume cursor).
+// events. A batch that does not fit is accepted as a prefix: the count comes
+// back alongside ErrBusy and is the caller's resume cursor (the HTTP
+// server's 429 protocol hands it to clients unchanged). Deterministic mode
+// applies inline and has no budget.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -30,190 +35,162 @@ import (
 // the control plane, and pooled envelope slices stay small enough to recycle.
 const batchChunk = 1024
 
-func (e *Engine) getBatchSlice() *[]Event {
-	if p, ok := e.batchPool.Get().(*[]Event); ok {
-		return p
-	}
-	s := make([]Event, 0, batchChunk)
-	return &s
-}
-
-// dispatchBatch unpacks one kindBatch envelope in the router goroutine:
-// events dispatch in submission order, then the envelope's budget is
-// released and its slice recycled.
-func (e *Engine) dispatchBatch(ev Event) {
-	p := ev.ctl.(*[]Event)
-	for _, sub := range *p {
-		e.dispatch(sub)
-	}
-	e.batchPending.Add(-int64(len(*p)))
-	*p = (*p)[:0]
-	e.batchPool.Put(p)
-}
-
-// TrySubmitBatch submits up to len(evs) events in one engine operation and
-// reports how many were accepted — always a prefix of evs, applied in order.
-// When the router's budget cannot take the whole batch it accepts what fits
-// and returns the count with ErrBusy (0 when nothing fit), so the caller
-// resumes from evs[accepted:] after backing off; with a WAL attached every
-// accepted event is logged (append-before-apply) before the call returns,
-// exactly like single-event submission. Deterministic mode processes inline
-// and never reports ErrBusy. An invalid kind anywhere in evs rejects the
-// whole batch before any event is accepted.
-func (e *Engine) TrySubmitBatch(evs []Event) (int, error) {
-	return e.submitBatch(evs, false)
-}
-
-// SubmitBatch is TrySubmitBatch without ErrBusy: it blocks until every event
-// is accepted (or the engine closes), retrying the unaccepted suffix as
-// router budget frees up.
-func (e *Engine) SubmitBatch(evs []Event) error {
-	_, err := e.submitBatch(evs, true)
+// Submit enqueues one event, blocking through back-pressure. In
+// deterministic mode the event is processed inline before Submit returns;
+// in concurrent mode it is handed to the router.
+func (e *Engine) Submit(ev Event) error {
+	evs := [1]Event{ev}
+	_, err := e.admit(evs[:], true)
 	return err
 }
 
-func (e *Engine) submitBatch(evs []Event, block bool) (int, error) {
+// TrySubmit is Submit without blocking: when the router's event budget is
+// spent it returns ErrBusy and the event is not accepted. This is the
+// admission-control seam: a caller that must not block (a network handler)
+// converts ErrBusy into back-pressure toward its own client. Deterministic
+// mode processes inline and never reports ErrBusy.
+func (e *Engine) TrySubmit(ev Event) error {
+	evs := [1]Event{ev}
+	_, err := e.admit(evs[:], false)
+	return err
+}
+
+// SubmitBatch submits evs in order, blocking until every event is accepted
+// (or the engine closes or the WAL fails). It never returns ErrBusy.
+func (e *Engine) SubmitBatch(evs []Event) error {
+	_, err := e.admit(evs, true)
+	return err
+}
+
+// TrySubmitBatch submits up to len(evs) events and reports how many were
+// accepted — always a prefix of evs, applied in order. When the router's
+// budget cannot take the whole batch it accepts what fits and returns the
+// count with ErrBusy (0 when nothing fit), so the caller resumes from
+// evs[accepted:] after backing off. With a WAL attached every accepted
+// event is logged before the call returns. An invalid kind anywhere in evs
+// rejects the whole batch before any event is accepted.
+func (e *Engine) TrySubmitBatch(evs []Event) (int, error) {
+	return e.admit(evs, false)
+}
+
+// admit is the body of every submit entry point: validate the kinds, then
+// admit chunk after chunk until evs is spent, a chunk is refused, or — when
+// block is set — for as long as the budget takes to free up.
+func (e *Engine) admit(evs []Event, block bool) (int, error) {
 	for i := range evs {
 		if evs[i].Kind == 0 || evs[i].Kind > KindTick {
-			return 0, fmt.Errorf("engine: batch event %d has invalid kind %d", i, evs[i].Kind)
+			return 0, fmt.Errorf("engine: event %d has invalid kind %d", i, evs[i].Kind)
 		}
 	}
 	accepted := 0
 	for accepted < len(evs) {
-		chunk := evs[accepted:]
-		if len(chunk) > batchChunk {
-			chunk = chunk[:batchChunk]
+		if e.closed.Load() {
+			return accepted, ErrClosed
 		}
-		n, err := e.submitChunk(chunk)
+		now := time.Now() //lint:detsource arrival stamp feeds latency metrics; replay decisions carry event-time periods
+		e.mu.Lock()
+		n, err := e.admitChunk(evs[accepted:], now, e.wal)
+		e.mu.Unlock()
 		accepted += n
 		switch {
-		case err != nil && err != ErrBusy:
+		case err == nil:
+		case err != ErrBusy || !block:
 			return accepted, err
-		case n == len(chunk):
-			// Full chunk accepted; on to the next envelope.
-		case !block:
-			return accepted, ErrBusy
 		case n == 0:
 			// Budget exhausted: wait for the router to drain. The sleep is
-			// backpressure pacing, not a correctness timing source.
+			// back-pressure pacing, not a correctness timing source.
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
 	return accepted, nil
 }
 
-// submitChunk admits one envelope's worth of events (len(chunk) <=
-// batchChunk), returning the accepted prefix length.
-func (e *Engine) submitChunk(chunk []Event) (int, error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
+// admitChunk admits the longest prefix of evs that fits one envelope and the
+// router's event budget, and returns its length; ErrBusy says the budget cut
+// it short. Callers hold e.mu, so no other submitter can spend the same
+// budget or slip between a record and its application. It is the only place
+// events are appended to the WAL: log is e.wal for submitters and nil for
+// RecoverWAL, whose events are already in it. A failed append truncates the
+// chunk to what was logged, keeping log and applied stream identical.
+func (e *Engine) admitChunk(evs []Event, now time.Time, log *wal.Log) (int, error) {
+	if log != nil && !e.walReady {
+		return 0, errors.New("engine: WAL holds unreplayed records; run RecoverWAL before submitting")
 	}
-	if len(chunk) == 0 {
-		return 0, nil
+	n := min(len(evs), batchChunk)
+	var err error
+	if e.det == nil {
+		if free := cap(e.in) - int(e.batchPending.Load()); free < n {
+			n, err = max(free, 0), ErrBusy
+		}
 	}
-	now := time.Now() //lint:detsource arrival stamp feeds latency metrics; replay decisions carry event-time periods
-	if e.wal != nil {
-		return e.submitChunkWAL(chunk, now)
+	if log != nil {
+		for i := range evs[:n] {
+			if _, aerr := log.Append(wal.RecEvent, encodeEvent(evs[i])); aerr != nil {
+				n, err = i, fmt.Errorf("engine: wal append: %w", aerr)
+				break
+			}
+		}
 	}
+	if n > 0 {
+		e.apply(evs[:n], now)
+	}
+	return n, err
+}
+
+// apply hands an admitted, non-empty chunk to the market state, in order and
+// stamped with its arrival time: inline in deterministic mode, copied into
+// one pooled envelope for the router otherwise. Callers hold e.mu and have
+// checked the budget, so fewer than cap(in) envelopes are queued and the
+// send does not wait behind other submitters. Checkpoint and Restore put
+// their control events on the same channel without e.mu; their contract
+// forbids running beside a submitter, and a caller who breaks it makes this
+// send wait for the router to take one event, nothing worse.
+func (e *Engine) apply(evs []Event, now time.Time) {
+	n := int64(len(evs))
+	e.events.Add(n)
 	if e.det != nil {
-		for _, ev := range chunk {
+		for _, ev := range evs {
 			ev.at = now
 			e.det.handle(ev)
 		}
-		e.events.Add(int64(len(chunk)))
-		return len(chunk), nil
+		return
 	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	n := e.batchBudget(len(chunk))
-	if n == 0 {
-		return 0, ErrBusy
-	}
-	p := e.getBatchSlice()
-	*p = append(*p, chunk[:n]...)
+	p := e.getBatchSlice(len(evs))
+	*p = append(*p, evs...)
 	for i := range *p {
 		(*p)[i].at = now
 	}
-	e.batchPending.Add(int64(n))
-	select {
-	case e.in <- Event{Kind: kindBatch, ctl: p}:
-		e.events.Add(int64(n))
-		return n, nil
-	default:
-		// A single-event submitter took the last channel slot between the
-		// budget check and the send: roll back and report busy.
-		e.batchPending.Add(-int64(n))
-		*p = (*p)[:0]
-		e.batchPool.Put(p)
-		return 0, ErrBusy
-	}
-}
-
-// submitChunkWAL is submitChunk under Config.WAL: append every accepted
-// event before any applies, under the same append-order-is-apply-order lock
-// as single-event submission. walMu guarantees the envelope's channel slot
-// cannot be stolen between the budget check and the send (all WAL-mode
-// submitters hold walMu; the router only drains), so a logged event is
-// always delivered.
-func (e *Engine) submitChunkWAL(chunk []Event, now time.Time) (int, error) {
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if !e.walReady {
-		return 0, fmt.Errorf("engine: WAL holds unreplayed records; run RecoverWAL before submitting")
-	}
-	if e.det != nil {
-		for i, ev := range chunk {
-			ev.at = now
-			if _, err := e.wal.Append(wal.RecEvent, encodeEvent(ev)); err != nil {
-				// Events before i were logged AND applied: the accepted
-				// prefix stays consistent with the log.
-				return i, fmt.Errorf("engine: wal append: %w", err)
-			}
-			e.events.Add(1)
-			e.det.handle(ev)
-		}
-		return len(chunk), nil
-	}
-	n := e.batchBudget(len(chunk))
-	if n == 0 {
-		return 0, ErrBusy
-	}
-	p := e.getBatchSlice()
-	var apErr error
-	for i := 0; i < n; i++ {
-		ev := chunk[i]
-		ev.at = now
-		if _, err := e.wal.Append(wal.RecEvent, encodeEvent(ev)); err != nil {
-			// Truncate the accepted prefix to what was logged, so the log
-			// and the applied stream stay identical.
-			apErr = fmt.Errorf("engine: wal append: %w", err)
-			n = i
-			break
-		}
-		*p = append(*p, ev)
-	}
-	if n == 0 {
-		*p = (*p)[:0]
-		e.batchPool.Put(p)
-		return 0, apErr
-	}
-	e.batchPending.Add(int64(n))
-	e.events.Add(int64(n))
+	e.batchPending.Add(n)
 	e.in <- Event{Kind: kindBatch, ctl: p}
-	return n, apErr
 }
 
-// batchBudget reports how many of want events the router can take now:
-// free channel slots minus events still packed in undispatched envelopes,
-// and at least one slot for this call's own envelope (callers hold batchMu
-// or walMu, so no other batch can spend the same budget).
-func (e *Engine) batchBudget(want int) int {
-	avail := cap(e.in) - len(e.in) - int(e.batchPending.Load())
-	if avail <= 0 {
-		return 0
+// dispatchBatch unpacks one envelope in the router goroutine: events
+// dispatch in submission order, then the envelope's budget is released and
+// its slice recycled.
+func (e *Engine) dispatchBatch(ev Event) {
+	p := ev.ctl.(*[]Event)
+	for _, sub := range *p {
+		e.dispatch(sub)
 	}
-	if want > avail {
-		want = avail
+	e.batchPending.Add(-int64(len(*p)))
+	e.putBatchSlice(p)
+}
+
+// getBatchSlice returns an empty pooled envelope slice with room for n
+// events. Slices are sized by need, not to batchChunk: a caller submitting
+// single events can have cap(in) envelopes outstanding at once.
+func (e *Engine) getBatchSlice(n int) *[]Event {
+	p, ok := e.batchPool.Get().(*[]Event)
+	if !ok {
+		p = new([]Event)
 	}
-	return want
+	if cap(*p) < n {
+		*p = make([]Event, 0, n)
+	}
+	return p
+}
+
+func (e *Engine) putBatchSlice(p *[]Event) {
+	*p = (*p)[:0]
+	e.batchPool.Put(p)
 }

@@ -2,10 +2,14 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"spatialcrowd/internal/core"
 	"spatialcrowd/internal/geo"
+	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/wal"
 )
 
@@ -14,14 +18,7 @@ import (
 func streamedEvents(t *testing.T) []Event {
 	t.Helper()
 	in, _ := testInstance(t)
-	var evs []Event
-	if err := StreamEvents(in, 1, ReplayOpts{}, func(ev Event) error {
-		evs = append(evs, ev)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return evs
+	return streamOf(t, in, 1)
 }
 
 // runStream drives evs into a freshly built engine via submit and returns
@@ -50,69 +47,125 @@ func submitSingly(e *Engine, evs []Event) error {
 	return nil
 }
 
-// submitChunked feeds evs through SubmitBatch in awkward chunk sizes (prime,
-// spanning multiple internal envelopes) so batch boundaries land mid-period.
+// submitChunked feeds evs through SubmitBatch in awkward chunk sizes: single
+// events, primes that land batch boundaries mid-period, and one larger than
+// an envelope.
 func submitChunked(e *Engine, evs []Event) error {
-	const chunk = 997
-	for off := 0; off < len(evs); off += chunk {
-		end := off + chunk
-		if end > len(evs) {
-			end = len(evs)
-		}
+	sizes := []int{1, 2, 3, 7, 97, batchChunk + 13, 1, 5, 997}
+	for i, off := 0, 0; off < len(evs); i++ {
+		end := min(off+sizes[i%len(sizes)], len(evs))
 		if err := e.SubmitBatch(evs[off:end]); err != nil {
 			return err
 		}
+		off = end
 	}
 	return nil
 }
 
-// TestBatchEquivalence: a stream submitted through SubmitBatch produces
-// bit-identical revenue and an identical funnel to the same stream submitted
-// one event at a time — in deterministic mode, in sharded mode, and in
-// sharded mode with a WAL attached (append-before-apply at batch grain).
-func TestBatchEquivalence(t *testing.T) {
-	evs := streamedEvents(t)
-	in, _ := testInstance(t)
-	cfgs := map[string]func() Config{
-		"det": func() Config {
-			return Config{Grid: in.Grid, Strategy: &fixedPrice{price: 2}, AutoDecide: true,
-				OnDecision: func(Decision) {}}
-		},
-		"sharded": func() Config {
-			return Config{Grid: in.Grid, Shards: 4, AutoDecide: true,
-				NewStrategy: func(int) core.Strategy { return &fixedPrice{price: 2} },
-				OnDecision:  func(Decision) {}}
-		},
+// chunkingRun is everything one run of a stream leaves behind that must not
+// depend on how the stream was cut into submissions.
+type chunkingRun struct {
+	decisions [][]Decision // per shard, in emission order, latency zeroed
+	stats     Stats
+	wal       map[string][]byte // segment name -> bytes (nil without a WAL)
+}
+
+// runChunking submits evs to a fresh engine of the given shape and collects
+// its decisions, final stats and WAL segment files.
+func runChunking(t *testing.T, in *market.Instance, shards int, quoted, withWAL bool,
+	submit func(*Engine, []Event) error, evs []Event) chunkingRun {
+	t.Helper()
+	cfg := ckConfig(t, in, shards, 2)
+	cfg.AutoDecide = !quoted
+	run := chunkingRun{decisions: make([][]Decision, max(shards, 1))}
+	var mu sync.Mutex
+	cfg.OnDecision = func(d Decision) {
+		d.Latency = 0
+		si := 0
+		if cfg.Partitioner != nil {
+			si = cfg.Partitioner.ShardOf(d.Cell)
+		}
+		mu.Lock()
+		run.decisions[si] = append(run.decisions[si], d)
+		mu.Unlock()
 	}
-	for name, mk := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			want := runStream(t, mk(), evs, submitSingly)
-			got := runStream(t, mk(), evs, submitChunked)
-			if got.Revenue != want.Revenue || got.Served != want.Served ||
-				got.Events != want.Events || got.TasksPriced != want.TasksPriced {
-				t.Fatalf("batch run diverged: rev %v/%v served %d/%d events %d/%d priced %d/%d",
-					got.Revenue, want.Revenue, got.Served, want.Served,
-					got.Events, want.Events, got.TasksPriced, want.TasksPriced)
-			}
-		})
-		t.Run(name+"/wal", func(t *testing.T) {
-			cfg := mk()
-			log, err := wal.Open(wal.NewMemStore(), wal.Options{})
+	var mem *wal.MemStore
+	if withWAL {
+		mem = wal.NewMemStore()
+		log, err := wal.Open(mem, wal.Options{SegmentBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		cfg.WAL = log
+	}
+	run.stats = runStream(t, cfg, evs, submit)
+	if mem != nil {
+		run.wal = make(map[string][]byte)
+		names, err := mem.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			f, err := mem.Open(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer log.Close()
-			cfg.WAL = log
-			want := runStream(t, mk(), evs, submitSingly)
-			got := runStream(t, cfg, evs, submitChunked)
-			if got.Revenue != want.Revenue || got.Events != want.Events {
-				t.Fatalf("wal batch run diverged: rev %v/%v events %d/%d",
-					got.Revenue, want.Revenue, got.Events, want.Events)
+			size, _ := f.Size()
+			b := make([]byte, size)
+			if _, err := f.ReadAt(b, 0); err != nil && size > 0 {
+				t.Fatal(err)
 			}
-			if lsn := log.LastLSN(); lsn != uint64(len(evs)) {
-				t.Fatalf("WAL holds %d records, want one per event (%d)", lsn, len(evs))
+			run.wal[name] = b
+		}
+	}
+	return run
+}
+
+// TestBatchEquivalence is chunking invariance: there is one ingest path, so
+// the same stream submitted one event at a time, in awkward chunk sizes, as
+// one batch and through ReplayWith must leave identical decisions in order,
+// an identical revenue/funnel/lifecycle ledger and byte-identical WAL
+// segment files — over {det, 2 shards} x {WAL off, on} x {auto, quoted}.
+func TestBatchEquivalence(t *testing.T) {
+	in, _ := testInstance(t)
+	whole := func(e *Engine, evs []Event) error { return e.SubmitBatch(evs) }
+	replay := func(e *Engine, _ []Event) error { _, err := ReplayWith(e, in, ReplayOpts{}); return err }
+	for _, shards := range []int{0, 2} {
+		for _, withWAL := range []bool{false, true} {
+			for _, quoted := range []bool{false, true} {
+				variant, evs := "auto", streamOf(t, in, 1)
+				cuts := map[string]func(*Engine, []Event) error{"chunked": submitChunked, "whole": whole, "replay": replay}
+				if quoted {
+					variant, evs = "quoted", quotedStreamOf(in)
+					delete(cuts, "replay") // ReplayWith emits the canonical auto stream only
+				}
+				t.Run(fmt.Sprintf("%s/wal=%v/%s", modeName(shards)[1:], withWAL, variant), func(t *testing.T) {
+					want := runChunking(t, in, shards, quoted, withWAL, submitSingly, evs)
+					if want.stats.Revenue <= 0 || want.stats.Events != int64(len(evs)) {
+						t.Fatalf("reference run: %+v", want.stats)
+					}
+					if withWAL && len(want.wal) < 2 {
+						t.Fatalf("reference WAL has %d segments; rotation was not exercised", len(want.wal))
+					}
+					for cut, submit := range cuts {
+						got := runChunking(t, in, shards, quoted, withWAL, submit, evs)
+						if !reflect.DeepEqual(got.decisions, want.decisions) {
+							t.Errorf("%s: decision stream differs from one-at-a-time submission", cut)
+						}
+						g, w := got.stats, want.stats
+						if g.Revenue != w.Revenue || ledgerOf(g) != ledgerOf(w) ||
+							[7]int64{g.Events, g.TasksPriced, g.Quoted, g.Accepted, g.Served, g.Batches, g.Late} !=
+								[7]int64{w.Events, w.TasksPriced, w.Quoted, w.Accepted, w.Served, w.Batches, w.Late} {
+							t.Errorf("%s: ledger differs:\n got %+v\nwant %+v", cut, g, w)
+						}
+						if !reflect.DeepEqual(got.wal, want.wal) {
+							t.Errorf("%s: WAL segment files differ from one-at-a-time submission", cut)
+						}
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
@@ -253,6 +306,76 @@ func TestBatchRejectsInvalidKind(t *testing.T) {
 	}
 	if got := e.Stats().Events; got != 0 {
 		t.Fatalf("rejected batch leaked %d events", got)
+	}
+}
+
+// TestConcurrentDetSubmitters: the engine serializes its own callers, so
+// goroutines submitting straight at a deterministic engine — which applies
+// inline in the caller's goroutine — neither race nor lose events, and the
+// WAL holds exactly one record per accepted event. Run under -race.
+func TestConcurrentDetSubmitters(t *testing.T) {
+	for _, withWAL := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) { concurrentDetSubmitters(t, withWAL) })
+	}
+}
+
+func concurrentDetSubmitters(t *testing.T, withWAL bool) {
+	cfg := Config{Grid: geo.SquareGrid(100, 4), Strategy: &fixedPrice{price: 1},
+		AutoDecide: true, OnDecision: func(Decision) {}}
+	if withWAL {
+		log, err := wal.Open(wal.NewMemStore(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		cfg.WAL = log
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, e, Tick(0))
+	const submitters, perSubmitter = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var batch []Event
+			for i := 0; i < perSubmitter; i++ {
+				id := g*perSubmitter + i
+				at := geo.Point{X: float64(id % 100), Y: float64(id / 100 * 5 % 100)}
+				ev := TaskArrival(market.Task{ID: id, Origin: at, Dest: at, Distance: 1, Valuation: 2})
+				if i%2 == 0 {
+					if err := e.TrySubmit(ev); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				if batch = append(batch, ev); len(batch) == 7 {
+					if n, err := e.TrySubmitBatch(batch); err != nil || n != len(batch) {
+						t.Errorf("TrySubmitBatch: n=%d err=%v", n, err)
+					}
+					batch = batch[:0]
+				}
+			}
+			if err := e.SubmitBatch(batch); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	mustSubmit(t, e, Tick(1))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	const tasks = submitters * perSubmitter
+	if st.Events != tasks+2 || st.TasksPriced != tasks {
+		t.Fatalf("events %d priced %d, want %d/%d", st.Events, st.TasksPriced, tasks+2, tasks)
+	}
+	if withWAL && e.WALLastLSN() != tasks+2 {
+		t.Fatalf("WAL holds %d records, want one per event (%d)", e.WALLastLSN(), tasks+2)
 	}
 }
 

@@ -79,7 +79,7 @@ type Config struct {
 	// emits Quoted decisions and waits for AcceptDecision events.
 	AutoDecide bool
 	// CellIndexGraphs builds batch bipartite graphs with the spatial cell
-	// index (market.BuildBipartiteCellIndex — the offline simulator's
+	// index (market.BuildBipartiteCellIndexScratch — the offline simulator's
 	// construction) instead of the per-batch worker index
 	// (market.WorkerIndex). The edge sets are identical either way; the
 	// adjacency order differs, which steers tie breaks in the greedy
@@ -88,7 +88,8 @@ type Config struct {
 	// matches the simulator bit for bit (the equivalence tests rely on
 	// this); the worker-index default is faster on large pools.
 	CellIndexGraphs bool
-	// Buffer is the router and per-shard channel depth (default 4096).
+	// Buffer bounds, in events, what the router holds undispatched and what
+	// each shard channel queues (default 4096).
 	Buffer int
 	// OnDecision, when set, receives every decision instead of the Poll
 	// queue. It is called from shard goroutines and must be fast and
@@ -114,8 +115,9 @@ type Config struct {
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrBusy is returned by TrySubmit when the router's ingest queue is full.
-// The event was NOT accepted; the caller decides whether to retry, shed the
+// ErrBusy is returned by TrySubmit and TrySubmitBatch when the router's
+// event budget is spent. Events past the reported count were NOT accepted;
+// the caller decides whether to retry, shed the
 // load, or push the backpressure further upstream (the HTTP server in
 // internal/server turns it into 429 + Retry-After).
 var ErrBusy = errors.New("engine: ingest queue full")
@@ -202,20 +204,18 @@ type Engine struct {
 	restoredPeriod int
 	restoredWALLSN uint64 // checkpoint's recorded WAL position (wal_lsn)
 
-	// Write-ahead log (Config.WAL). walMu serializes append + apply so the
-	// log order is the apply order; walReady (guarded by walMu) blocks
-	// Submit until a non-empty log has been replayed through RecoverWAL.
-	wal      *wal.Log
-	walMu    sync.Mutex
-	walReady bool
-
-	// Batched ingest (TrySubmitBatch). batchMu serializes admission so two
-	// batch submitters cannot both spend the same budget; batchPending counts
-	// events accepted into kindBatch envelopes the router has not yet
-	// unpacked, keeping total buffered events bounded even though an envelope
-	// occupies one channel slot. batchPool recycles envelope slices so a
+	// Ingest (batch.go). mu serializes admission in every mode: budget,
+	// WAL append and apply happen under it, so the log order is the apply
+	// order, two submitters cannot spend the same budget, and deterministic
+	// mode's inline processing is safe for concurrent callers. walReady
+	// (guarded by mu) refuses submissions until a non-empty log has been
+	// replayed through RecoverWAL. batchPending counts events admitted into
+	// envelopes the router has not finished dispatching — the budget's
+	// measure of what is buffered. batchPool recycles envelope slices so a
 	// steady ingest stream allocates no per-batch memory.
-	batchMu      sync.Mutex
+	mu           sync.Mutex
+	wal          *wal.Log
+	walReady     bool
 	batchPending atomic.Int64
 	batchPool    sync.Pool
 
@@ -332,71 +332,17 @@ func (e *Engine) Space() spatial.Space { return e.space }
 // Window reports the pricing window in periods.
 func (e *Engine) Window() int { return e.cfg.Window }
 
-// Submit enqueues one event. In deterministic mode it processes the event
-// inline before returning; in concurrent mode it hands the event to the
-// router and returns immediately (blocking only when buffers are full).
-func (e *Engine) Submit(ev Event) error {
-	if ev.Kind == 0 || ev.Kind > KindTick {
-		return fmt.Errorf("engine: invalid event kind %d", ev.Kind)
-	}
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	ev.at = time.Now() //lint:detsource arrival stamp feeds latency metrics; replay decisions carry event-time periods
-	if e.wal != nil {
-		return e.submitWAL(ev, true)
-	}
-	e.events.Add(1)
-	if e.det != nil {
-		e.det.handle(ev)
-		return nil
-	}
-	e.in <- ev
-	return nil
-}
-
-// TrySubmit is Submit without blocking: when the router's ingest queue is
-// full it returns ErrBusy instead of waiting for space, and the event is not
-// accepted. In deterministic mode events process inline, so TrySubmit never
-// reports ErrBusy there. This is the admission-control seam: a caller that
-// must not block (a network handler) uses TrySubmit and converts ErrBusy
-// into backpressure toward its own client.
-func (e *Engine) TrySubmit(ev Event) error {
-	if ev.Kind == 0 || ev.Kind > KindTick {
-		return fmt.Errorf("engine: invalid event kind %d", ev.Kind)
-	}
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	ev.at = time.Now() //lint:detsource arrival stamp feeds latency metrics; replay decisions carry event-time periods
-	if e.wal != nil {
-		return e.submitWAL(ev, false)
-	}
-	if e.det != nil {
-		e.events.Add(1)
-		e.det.handle(ev)
-		return nil
-	}
-	select {
-	case e.in <- ev:
-		e.events.Add(1)
-		return nil
-	default:
-		return ErrBusy
-	}
-}
-
 // QueueDepths is a point-in-time snapshot of the engine's bounded ingest
-// queues: the router channel plus every shard channel. Depth counts
-// buffered-but-unprocessed events; Capacity is the fixed buffer size
+// queues: the router's admitted-event budget plus every shard channel. Depth
+// counts buffered-but-unprocessed events; Capacity is the fixed buffer size
 // (Config.Buffer). All zeros in deterministic mode, where events process
 // inline and nothing queues.
 type QueueDepths struct {
-	Router    int   // events waiting in the router channel
+	Router    int   // events admitted that the router has not finished dispatching
 	Shards    []int // events waiting per shard channel (nil in det mode)
-	Capacity  int   // per-channel buffer size
+	Capacity  int   // router event budget and per-shard channel size
 	MaxShard  int   // deepest shard queue (0 in det mode)
-	Saturated bool  // the router queue is full: TrySubmit would return ErrBusy
+	Saturated bool  // the router budget is spent: TrySubmit would return ErrBusy
 }
 
 // QueueDepths snapshots the ingest-queue depths. Safe to call concurrently
@@ -408,7 +354,7 @@ func (e *Engine) QueueDepths() QueueDepths {
 		return QueueDepths{}
 	}
 	d := QueueDepths{
-		Router:   len(e.in),
+		Router:   int(e.batchPending.Load()),
 		Capacity: cap(e.in),
 		Shards:   make([]int, len(e.shards)),
 	}
@@ -454,8 +400,7 @@ func (e *Engine) route() {
 }
 
 // dispatch forwards one event to the shard(s) owning it (router goroutine
-// only): the per-event half of route, shared by the single-event path and
-// the kindBatch envelope unpacker.
+// only).
 func (e *Engine) dispatch(ev Event) {
 	switch ev.Kind {
 	case KindTick:

@@ -55,9 +55,9 @@ const (
 	// kindRestore installs a previously checkpointed state, before any
 	// market event has been submitted.
 	kindRestore
-	// kindBatch is an envelope carrying a slice of public events accepted by
-	// one TrySubmitBatch call: N events cross the router channel in one send,
-	// and the router unpacks them in order (see batch.go).
+	// kindBatch is the envelope every admitted chunk of public events crosses
+	// the router channel in: one send for N events, unpacked by the router in
+	// order (see batch.go).
 	kindBatch
 )
 

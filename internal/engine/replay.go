@@ -61,16 +61,40 @@ type ReplayOpts struct {
 
 // ReplayWith is the general replay driver: Replay and ReplayMobility are
 // thin wrappers over it. It submits the canonical stream of StreamEvents
-// through e.Submit.
+// one batch per period: events collect until the next period's Tick (or an
+// AfterPeriod hook, which must see its period applied) and go in together.
 func ReplayWith(e *Engine, in *market.Instance, opts ReplayOpts) (int, error) {
 	n := 0
-	err := StreamEvents(in, e.Window(), opts, func(ev Event) error {
-		if err := e.Submit(ev); err != nil {
+	var batch []Event
+	flush := func() error {
+		k, err := e.admit(batch, true)
+		n += k
+		batch = batch[:0]
+		if err != nil {
 			return fmt.Errorf("engine: replay event %d: %w", n+1, err)
 		}
-		n++
+		return nil
+	}
+	if hook := opts.AfterPeriod; hook != nil {
+		opts.AfterPeriod = func(period int) error {
+			if err := flush(); err != nil {
+				return err
+			}
+			return hook(period)
+		}
+	}
+	err := StreamEvents(in, e.Window(), opts, func(ev Event) error {
+		if ev.Kind == KindTick {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		batch = append(batch, ev)
 		return nil
 	})
+	if err == nil {
+		err = flush()
+	}
 	return n, err
 }
 

@@ -2,11 +2,11 @@ package engine
 
 // Durable write-ahead logging for the event stream. With Config.WAL set,
 // every accepted public event is framed through a deterministic binary
-// codec and appended to the log BEFORE it is applied (inline handle in
-// deterministic mode, router send in concurrent mode), with appends and
-// sends serialized under one mutex so the log order is exactly the apply
-// order. Crash recovery is then RecoverWAL: restore the last checkpoint
-// (which records the LSN it covers), replay the WAL tail past that LSN,
+// codec and appended to the log BEFORE it is applied — by admitChunk in
+// batch.go, the one place that appends events — under the engine's ingest
+// mutex, so the log order is exactly the apply order. Crash recovery is
+// then RecoverWAL: restore the last checkpoint (which records the LSN it
+// covers), replay the WAL tail past that LSN through the same admitChunk,
 // and — because the engine is bit-deterministic for a fixed event order —
 // the recovered revenue and lifecycle ledger match the uninterrupted run
 // exactly. The crash-injection harness in walcrash_test.go proves this for
@@ -51,33 +51,6 @@ func decodeEvent(b []byte) (Event, error) {
 	return EventFromWire(w), nil
 }
 
-// submitWAL is the append-before-apply submit path (Config.WAL set). One
-// mutex serializes append + apply across all submitters, so the log order
-// is the apply order; under that lock a non-blocking TrySubmit checks
-// channel capacity BEFORE appending — a rejected event is never logged,
-// and a logged event's send cannot block (no other sender can fill the
-// checked slack while we hold the lock).
-func (e *Engine) submitWAL(ev Event, block bool) error {
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if !e.walReady {
-		return fmt.Errorf("engine: WAL holds unreplayed records; run RecoverWAL before submitting")
-	}
-	if !block && e.det == nil && len(e.in) == cap(e.in) {
-		return ErrBusy
-	}
-	if _, err := e.wal.Append(wal.RecEvent, encodeEvent(ev)); err != nil {
-		return fmt.Errorf("engine: wal append: %w", err)
-	}
-	e.events.Add(1)
-	if e.det != nil {
-		e.det.handle(ev)
-		return nil
-	}
-	e.in <- ev
-	return nil
-}
-
 // RecoverWAL rebuilds state after a crash: restore the checkpoint read from
 // snapshot (nil when no checkpoint survived), then decode and re-apply the
 // WAL tail past the checkpoint's recorded LSN. The engine must be freshly
@@ -89,8 +62,10 @@ func (e *Engine) RecoverWAL(snapshot io.Reader) (int, error) {
 	if e.wal == nil {
 		return 0, fmt.Errorf("engine: RecoverWAL needs Config.WAL")
 	}
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
+	// Held throughout, so a submitter or a second RecoverWAL waits for the
+	// whole tail to be in before it sees walReady or the event count.
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.events.Load() != 0 {
 		return 0, fmt.Errorf("engine: RecoverWAL needs a fresh engine (events already submitted)")
 	}
@@ -104,30 +79,40 @@ func (e *Engine) RecoverWAL(snapshot io.Reader) (int, error) {
 		}
 		from = e.restoredWALLSN + 1
 	}
+	// The tail goes through admitChunk like any submitted batch, with no log
+	// to append to: applied in log order, waiting out the router's budget.
 	replayed := 0
+	buf := make([]Event, 0, batchChunk)
+	flush := func() {
+		for rest := buf; len(rest) > 0; {
+			// Without a log the only refusal is ErrBusy.
+			now := time.Now() //lint:detsource replayed arrival stamp feeds latency metrics only
+			n, _ := e.admitChunk(rest, now, nil)
+			if n == 0 {
+				time.Sleep(50 * time.Microsecond) // back-pressure pacing, as in admit
+			}
+			rest = rest[n:]
+			replayed += n
+		}
+		buf = buf[:0]
+	}
 	err := e.wal.Replay(from, func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecEvent:
-			ev, err := decodeEvent(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: wal record %d: %w", rec.LSN, err)
-			}
-			ev.at = time.Now() //lint:detsource replayed arrival stamp feeds latency metrics only
-			e.events.Add(1)
-			if e.det != nil {
-				e.det.handle(ev)
-			} else {
-				e.in <- ev
-			}
-			replayed++
-		default:
-			// Checkpoint markers and future record types carry no event.
+		if rec.Type != wal.RecEvent {
+			return nil // checkpoint markers and future record types carry no event
+		}
+		ev, err := decodeEvent(rec.Data)
+		if err != nil {
+			return fmt.Errorf("engine: wal record %d: %w", rec.LSN, err)
+		}
+		if buf = append(buf, ev); len(buf) == cap(buf) {
+			flush()
 		}
 		return nil
 	})
 	if err != nil {
 		return replayed, err
 	}
+	flush()
 	e.walReady = true
 	return replayed, nil
 }

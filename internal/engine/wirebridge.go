@@ -57,15 +57,14 @@ func EventFromWire(w wire.Event) Event {
 // events straight into engine events appended to dst — the batch-ingest hot
 // path. Decoding through a single stack-resident wire.Event (instead of an
 // intermediate slice) halves the memory traffic per event; dst is reused by
-// callers so steady-state ingest allocates nothing here. Any malformed event
-// fails the whole payload (a frame is all-or-nothing, mirroring
-// wire.DecodeEvents).
+// callers so steady-state ingest allocates nothing here. A malformed event
+// ends the decode with an error; the events decoded before it are returned
+// with it, so a caller can keep the prefix or drop the whole payload.
 func DecodeWireEvents(payload []byte, dst []Event) ([]Event, error) {
-	start := len(dst)
 	for off := 0; off < len(payload); {
 		w, n, err := wire.DecodeEvent(payload[off:])
 		if err != nil {
-			return dst[:start], fmt.Errorf("engine: event %d (payload offset %d): %w", len(dst)-start, off, err)
+			return dst, fmt.Errorf("payload offset %d: %w", off, err)
 		}
 		dst = append(dst, EventFromWire(w))
 		off += n

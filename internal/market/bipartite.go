@@ -15,7 +15,7 @@ import (
 // Section 2.2 for one period: left vertices are the given tasks, right
 // vertices the given workers, with an edge whenever the worker's range
 // constraint admits the task. Complexity O(|R| * |W|) pairwise; use
-// BuildBipartiteIndexed for large instances.
+// BuildBipartiteCellIndexScratch for large instances.
 func BuildBipartite(tasks []Task, workers []Worker) *match.Graph {
 	g := match.NewGraph(len(tasks), len(workers))
 	for wi, w := range workers {
@@ -27,26 +27,6 @@ func BuildBipartite(tasks []Task, workers []Worker) *match.Graph {
 		}
 	}
 	return g
-}
-
-// BuildBipartiteIndexed is BuildBipartite accelerated by the instance's
-// spatial cell index. Workers are bucketed by cell once; each task then
-// distance-tests only the workers in cells intersecting the disk of the
-// period's maximum radius around its origin. Since a period has far fewer
-// tasks than there are accumulated idle workers, the task-centric scan keeps
-// edge generation near-linear, which is what makes the 500k-scale experiment
-// (Fig. 8 scalability) tractable.
-func BuildBipartiteIndexed(in *Instance, tasks []Task, workers []Worker) *match.Graph {
-	return BuildBipartiteCellIndex(in.Spatial(), tasks, workers)
-}
-
-// BuildBipartiteCellIndex is BuildBipartiteIndexed against a bare spatial
-// backend (no Instance required). The streaming engine uses it in
-// cell-index mode: candidate enumeration — and therefore adjacency order,
-// which steers tie breaks in the greedy matching — is byte-identical to the
-// offline simulator's, the property the exact replay-equivalence tests pin.
-func BuildBipartiteCellIndex(space spatial.Space, tasks []Task, workers []Worker) *match.Graph {
-	return BuildBipartiteCellIndexScratch(space, tasks, workers, nil)
 }
 
 // CellIndexScratch is reusable working state for the cell-index graph
@@ -61,11 +41,21 @@ type CellIndexScratch struct {
 	cells  []int // candidate-cell buffer
 }
 
-// BuildBipartiteCellIndexScratch is BuildBipartiteCellIndex with
-// caller-owned scratch state. A nil scratch allocates fresh state. The
-// returned graph is backed by the scratch and valid until its next use;
-// candidate enumeration order — and therefore adjacency order — is
-// byte-identical to BuildBipartiteCellIndex's.
+// BuildBipartiteCellIndexScratch is BuildBipartite accelerated by the
+// spatial backend's cell index. Workers are bucketed by cell once; each task
+// then distance-tests only the workers in cells intersecting the disk of the
+// period's maximum radius around its origin. Since a period has far fewer
+// tasks than there are accumulated idle workers, the task-centric scan keeps
+// edge generation near-linear, which is what makes the 500k-scale experiment
+// (Fig. 8 scalability) tractable. The offline simulator and the streaming
+// engine's cell-index mode both build with it, so candidate enumeration —
+// and therefore adjacency order, which steers tie breaks in the greedy
+// matching — is byte-identical between them, the property the exact
+// replay-equivalence tests pin.
+//
+// A nil scratch allocates fresh state; with caller-owned scratch the
+// returned graph is backed by it and valid until its next use, and the
+// adjacency is the same either way.
 func BuildBipartiteCellIndexScratch(space spatial.Space, tasks []Task, workers []Worker, sc *CellIndexScratch) *match.Graph {
 	if sc == nil {
 		sc = &CellIndexScratch{}

@@ -128,7 +128,7 @@ func TestBuildBipartiteIndexedMatchesNaive(t *testing.T) {
 				Radius: 2 + rng.Float64()*25}
 		}
 		naive := BuildBipartite(tasks, workers)
-		indexed := BuildBipartiteIndexed(in, tasks, workers)
+		indexed := BuildBipartiteCellIndexScratch(in.Spatial(), tasks, workers, nil)
 		if naive.NumEdges() != indexed.NumEdges() {
 			t.Fatalf("trial %d: edge counts differ: %d vs %d",
 				trial, naive.NumEdges(), indexed.NumEdges())

@@ -56,7 +56,7 @@ func TestCellIndexScratchMatchesFresh(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		tasks, workers := randomBatch(rng, rng.Intn(60), rng.Intn(120))
 		got := BuildBipartiteCellIndexScratch(grid, tasks, workers, sc)
-		want := BuildBipartiteCellIndex(grid, tasks, workers)
+		want := BuildBipartiteCellIndexScratch(grid, tasks, workers, nil)
 		sameGraph(t, round, got, want)
 	}
 }

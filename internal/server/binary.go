@@ -1,25 +1,23 @@
 package server
 
-// The binary ingest fast path: POST /v1/{tenant}/ingest with Content-Type
+// The binary ingest codec: POST /v1/{tenant}/ingest with Content-Type
 // application/x-spatialcrowd-frame carries length-prefixed, CRC-checked
 // batch frames (internal/wire) instead of NDJSON. Each frame's events are
-// decoded into pooled per-connection buffers — zero per-event allocations in
-// steady state — and handed to the engine as ONE batch submission, so the
-// per-event JSON-codec and channel-handoff costs that cap NDJSON ingest
-// collapse into per-batch costs.
+// decoded into the pooled per-request slice — zero per-event allocations in
+// steady state — and submitted as one chunk, exactly as the NDJSON decoder's
+// chunks are (server.go); what the codec saves is the JSON decode.
 //
-// The backpressure contract is unchanged: the response's Accepted count is
-// the number of events durably handed to the engine (fsynced first on
-// WAL-backed tenants), so a 429 client resumes by slicing its batch payload
-// at the accepted prefix's byte offset and re-framing the tail — events are
-// self-delimiting, no re-encode needed.
+// The backpressure contract is the shared one: the response's Accepted
+// count is the number of events durably handed to the engine (fsynced first
+// on WAL-backed tenants), so a 429 client resumes by slicing its batch
+// payload at the accepted prefix's byte offset and re-framing the tail —
+// events are self-delimiting, no re-encode needed.
 
 import (
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
-	"time"
 
 	"spatialcrowd/internal/engine"
 	"spatialcrowd/internal/wire"
@@ -90,67 +88,51 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// binIngest is the pooled per-request state of the binary path: the frame
-// reader's payload buffer plus the decoded engine event slice, both reused
-// across requests so steady-state ingest allocates nothing per event.
-type binIngest struct {
-	fr   *wire.FrameReader
-	eevs []engine.Event
+// ingestState is the pooled per-request state of the ingest routes: the
+// decoded engine event slice both codecs fill, and the binary codec's frame
+// reader with its payload buffer. Both are reused across requests so
+// steady-state ingest allocates nothing per event.
+type ingestState struct {
+	evs []engine.Event
+	fr  *wire.FrameReader
 }
 
-func (s *Server) getBinIngest(body io.Reader) *binIngest {
-	if st, ok := s.binPool.Get().(*binIngest); ok {
-		st.fr.Reset(body)
+func (s *Server) getIngest() *ingestState {
+	if st, ok := s.ingestPool.Get().(*ingestState); ok {
 		return st
 	}
-	return &binIngest{fr: wire.NewFrameReader(body, 0)}
+	return &ingestState{fr: wire.NewFrameReader(nil, 0)}
 }
 
-func (s *Server) putBinIngest(st *binIngest) {
+func (s *Server) putIngest(st *ingestState) {
 	st.fr.Reset(nil)
-	st.eevs = st.eevs[:0]
-	s.binPool.Put(st)
+	st.evs = st.evs[:0]
+	s.ingestPool.Put(st)
 }
 
-// submitBatchAdmitted runs one decoded batch through the tenant's admission
-// control with the configured busy grace: a partially accepted batch gets a
-// few short waits (resuming at the accepted offset; nothing is buffered
-// while waiting) before ErrBusy sticks. Returns the total accepted prefix.
-func (s *Server) submitBatchAdmitted(t *Tenant, evs []engine.Event) (int, error) {
-	accepted, err := t.submitBatch(evs)
-	if err != engine.ErrBusy || s.busyGrace <= 0 {
-		return accepted, err
-	}
-	const step = 100 * time.Microsecond
-	for waited := time.Duration(0); waited < s.busyGrace; waited += step {
-		time.Sleep(step)
-		n, err := t.submitBatch(evs[accepted:])
-		accepted += n
-		if err != engine.ErrBusy {
-			return accepted, err
-		}
-	}
-	return accepted, engine.ErrBusy
-}
-
-// validateBinaryEvents applies validateEvent — the check the JSON decoder
-// makes in WireEvent.Event — to a decoded batch, so a malformed event rejects
-// identically whichever wire form carried it.
-func validateBinaryEvents(evs []engine.Event, base int) error {
+// validPrefix applies validateEvent — the check the JSON decoder makes in
+// WireEvent.Event — to a decoded batch, so a malformed event rejects
+// identically whichever wire form carried it. It returns the length of the
+// valid prefix and the error that ended it.
+func validPrefix(evs []engine.Event) (int, error) {
 	for i := range evs {
 		if err := validateEvent(&evs[i]); err != nil {
-			return fmt.Errorf("event %d: %v", base+i+1, err)
+			return i, err
 		}
 	}
-	return nil
+	return len(evs), nil
 }
 
-// handleIngestBinary ingests a stream of binary batch frames, stopping at
-// the first refusal; the Accepted count resumes a 429 client exactly as on
-// the NDJSON path, at event (not frame) granularity.
-func (s *Server) handleIngestBinary(w http.ResponseWriter, t *Tenant, body io.Reader) {
-	st := s.getBinIngest(body)
-	defer s.putBinIngest(st)
+// ingestBinary ingests a stream of binary batch frames, stopping at the
+// first refusal. A frame's events are one chunk; a frame that fails its CRC
+// or length check is refused whole, while an event inside a sound frame that
+// does not decode or validate is refused like a bad NDJSON line — after the
+// events before it were submitted — so Accepted resumes a client at event
+// (not frame) granularity on every refusal.
+func (s *Server) ingestBinary(w http.ResponseWriter, t *Tenant, body io.Reader) {
+	st := s.getIngest()
+	defer s.putIngest(st)
+	st.fr.Reset(body)
 	accepted := 0
 	defer func() { t.noteCodecTraffic(codecBinary, accepted, st.fr.PayloadBytes()) }()
 	for {
@@ -158,40 +140,25 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, t *Tenant, body io.Re
 		if err == io.EOF {
 			break
 		}
+		if err == nil && typ != wire.FrameBatch {
+			err = fmt.Errorf("frame %d: unsupported frame type %d", st.fr.Frames()-1, typ)
+		}
 		if err != nil {
 			s.finishIngest(w, t, http.StatusBadRequest,
 				IngestResult{Accepted: accepted, Error: err.Error()})
 			return
 		}
-		if typ != wire.FrameBatch {
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: fmt.Sprintf("frame %d: unsupported frame type %d", st.fr.Frames()-1, typ)})
+		st.evs, err = engine.DecodeWireEvents(payload, st.evs[:0])
+		// Validate what decoded even when the decode stopped early: an
+		// invalid event ahead of the undecodable one is the earlier refusal.
+		if n, verr := validPrefix(st.evs); verr != nil {
+			st.evs, err = st.evs[:n], verr
+		}
+		if !s.submitChunk(w, t, st.evs, &accepted) {
 			return
 		}
-		if st.eevs, err = engine.DecodeWireEvents(payload, st.eevs[:0]); err != nil {
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: err.Error()})
-			return
-		}
-		if err := validateBinaryEvents(st.eevs, accepted); err != nil {
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: err.Error()})
-			return
-		}
-		n, err := s.submitBatchAdmitted(t, st.eevs)
-		accepted += n
-		switch err {
-		case nil:
-		case engine.ErrBusy:
-			s.writeBusy(w, t, IngestResult{Accepted: accepted})
-			return
-		case errDraining, engine.ErrClosed:
-			s.finishIngest(w, t, http.StatusServiceUnavailable,
-				IngestResult{Accepted: accepted, Error: "draining"})
-			return
-		default:
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: err.Error()})
+		if err != nil {
+			s.refuse(w, t, accepted, err)
 			return
 		}
 	}

@@ -275,9 +275,9 @@ func TestBinaryIngestRejectsCorruption(t *testing.T) {
 // lifecycle events outnumber task arrivals 10:1), so the per-event engine
 // work both codecs share stays small and the measurement lands on the wire
 // path — codec, HTTP, and admission — which is what the two subbenchmarks
-// differ in. The committed baseline pins binary ≥ 5x json events/s
-// (compare the ns/op of the two subbenchmarks — both ingest the same event
-// count).
+// differ in (compare the ns/op of the two subbenchmarks — both ingest the
+// same event count). A development aid, not a gate: the gated end-to-end
+// numbers per codec come from `go run ./bench` (BENCHMARK.json).
 func BenchmarkIngestLoopback(b *testing.B) {
 	in, _, err := workload.Synthetic(workload.SyntheticConfig{
 		Workers: 20000, Requests: 2000, Periods: 100, GridSide: 5, Seed: 7,

@@ -1,12 +1,17 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"spatialcrowd/internal/engine"
 	"spatialcrowd/internal/geo"
@@ -103,5 +108,108 @@ func TestCodecsRejectHostileNumbers(t *testing.T) {
 					hr.StatusCode, jres.Accepted, jres.Error, "event 2: "+tc.want)
 			}
 		})
+	}
+}
+
+// TestListenerTimeouts: the listener configuration the service runs under
+// (Server.HTTPServer) disconnects a client that never finishes its request
+// headers and reaps a keep-alive connection left idle, while a healthy
+// ingest — even one whose body stays open longer than both timeouts — is
+// untouched. The constants are scaled down on the returned http.Server so
+// the test runs in a fraction of a second; that they are set at all, and
+// that no read or write timeout is (either would cut streaming bodies and
+// SSE), is asserted on the untouched value first.
+func TestListenerTimeouts(t *testing.T) {
+	in := testInstance(t, 50, 20, 2)
+	srv, err := server.New(server.Config{Tenants: []server.TenantConfig{
+		{Name: "c", Engine: flatEngineConfig(in, 1)},
+	}})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	defer srv.Drain()
+	hs := srv.HTTPServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("HTTPServer timeouts: header %v idle %v read %v write %v; want the first two set, the last two unset",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.ReadTimeout, hs.WriteTimeout)
+	}
+	const timeout = 150 * time.Millisecond
+	hs.ReadHeaderTimeout, hs.IdleTimeout = timeout, timeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+	addr := ln.Addr().String()
+
+	// closedWithin reports whether the server hangs up on conn before the
+	// deadline, after discarding anything it still sends.
+	closedWithin := func(conn net.Conn, d time.Duration) bool {
+		conn.SetReadDeadline(time.Now().Add(d))
+		_, err := io.Copy(io.Discard, conn)
+		ne, isNet := err.(net.Error)
+		return !(isNet && ne.Timeout())
+	}
+
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "POST /v1/c/ingest HTTP/1.1\r\nHost: x\r\nContent-Type: application/x-ndjson\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(idle), nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz over the soon-idle connection: %v %v", resp, err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	// The healthy client: its headers arrive at once, its body stays open
+	// until both of the others have been cut off and a timeout longer, and
+	// it is answered normally.
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	healthy := make(chan error, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/v1/c/ingest", "application/x-ndjson", pr)
+		if err != nil {
+			healthy <- err
+			return
+		}
+		defer resp.Body.Close()
+		var res server.IngestResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			healthy <- err
+		} else if resp.StatusCode != http.StatusOK || res.Accepted != 2 {
+			healthy <- fmt.Errorf("status %d, %+v", resp.StatusCode, res)
+		} else {
+			healthy <- nil
+		}
+	}()
+	io.WriteString(pw, `{"type":"tick","period":0}`+"\n")
+
+	if !closedWithin(slow, 20*timeout) {
+		t.Error("a client that never finished its headers was not disconnected")
+	}
+	if !closedWithin(idle, 20*timeout) {
+		t.Error("an idle keep-alive connection was not reaped")
+	}
+	time.Sleep(timeout)
+	io.WriteString(pw, `{"type":"tick","period":1}`+"\n")
+	pw.Close()
+	if err := <-healthy; err != nil {
+		t.Errorf("healthy ingest with a slow body: %v", err)
 	}
 }

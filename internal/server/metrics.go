@@ -65,7 +65,7 @@ func scalarFamily(name, help, typ string, f func(*Tenant, engine.Stats, engine.Q
 // test pins the required names; additions are free, removals break
 // scrapers.
 var metricFamilies = []metricFamily{
-	counter("spatialcrowd_events_total", "Events accepted by the engine (Submit and TrySubmit).",
+	counter("spatialcrowd_events_total", "Events accepted by the engine.",
 		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.Events) }),
 	counter("spatialcrowd_http_ingested_total", "Events accepted over HTTP ingestion.",
 		func(t *Tenant, _ engine.Stats, _ engine.QueueDepths) float64 { return float64(t.Ingested()) }),
@@ -89,7 +89,7 @@ var metricFamilies = []metricFamily{
 			}
 		},
 	},
-	counter("spatialcrowd_rejected_events_total", "Events refused by admission control with 429 (ingest queue full).",
+	counter("spatialcrowd_rejected_events_total", "Events turned away by admission control: per 429, the events of the submitted chunk past the accepted prefix.",
 		func(t *Tenant, _ engine.Stats, _ engine.QueueDepths) float64 { return float64(t.Rejected()) }),
 	counter("spatialcrowd_tasks_priced_total", "Tasks run through a pricing strategy.",
 		func(_ *Tenant, st engine.Stats, _ engine.QueueDepths) float64 { return float64(st.TasksPriced) }),

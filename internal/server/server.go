@@ -1,18 +1,25 @@
 // Package server is the network-facing dispatch service over the streaming
 // engine: one HTTP listener hosting N isolated "city" tenants, each a
-// private engine instance. It ingests market events as JSON (single-shot
-// POSTs and NDJSON bulk streams), streams price quotes back to requesters
+// private engine instance. It ingests market events (NDJSON or binary batch
+// frames, and single JSON events), streams price quotes back to requesters
 // (SSE broadcast and long-poll by task ID), enforces admission control
-// against the engine's bounded ingest queues (429 + Retry-After — never
+// against the engine's bounded event budget (429 + Retry-After — never
 // unbounded buffering), exposes engine statistics as Prometheus text on
 // /metrics and JSON on /stats, and drains gracefully: ingestion quiesces,
 // every tenant writes an atomic checkpoint through the PR-5 seam, engines
 // close.
 //
+// There is one ingest pipeline. Whatever the route and codec, a handler
+// decodes the body into a pooled []engine.Event, submits it chunk by chunk
+// with Tenant.submitBatch -> Engine.TrySubmitBatch, and maps any refusal to
+// a status in refuse; the events before a refusal are accepted (and, with a
+// WAL, fsynced) before the response is written, so IngestResult.Accepted is
+// the client's resume cursor under 400, 429 and 503 alike.
+//
 // Endpoints (all tenant routes under /v1/{tenant}/):
 //
 //	POST /v1/{tenant}/events        one WireEvent            -> 202 IngestResult
-//	POST /v1/{tenant}/ingest        NDJSON of WireEvents     -> 200/429 IngestResult
+//	POST /v1/{tenant}/ingest        NDJSON or binary frames  -> 200/429 IngestResult
 //	GET  /v1/{tenant}/quotes/{task} long-poll one decision   -> 200 WireDecision | 204
 //	GET  /v1/{tenant}/quotes/stream SSE of every decision
 //	GET  /v1/{tenant}/stats         engine.Stats JSON
@@ -77,9 +84,9 @@ type Server struct {
 	mux        *http.ServeMux
 	draining   bool
 
-	// binPool recycles the binary ingest path's per-request decode state
-	// (frame buffer + event slices) across connections; see binary.go.
-	binPool sync.Pool
+	// ingestPool recycles the per-request decode state (event slice, frame
+	// buffer) across connections; see binary.go.
+	ingestPool sync.Pool
 }
 
 // New builds a server and starts every configured tenant's engine.
@@ -100,8 +107,8 @@ func New(cfg Config) (*Server, error) {
 		s.maxBody = 64 << 20
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/{tenant}/events", s.handleEvent)
-	mux.HandleFunc("POST /v1/{tenant}/ingest", s.handleIngest)
+	mux.HandleFunc("POST /v1/{tenant}/events", func(w http.ResponseWriter, r *http.Request) { s.handleIngest(w, r, true) })
+	mux.HandleFunc("POST /v1/{tenant}/ingest", func(w http.ResponseWriter, r *http.Request) { s.handleIngest(w, r, false) })
 	mux.HandleFunc("GET /v1/{tenant}/quotes/stream", s.handleQuoteStream)
 	mux.HandleFunc("GET /v1/{tenant}/quotes/{task}", s.handleQuote)
 	mux.HandleFunc("GET /v1/{tenant}/stats", s.handleStats)
@@ -174,6 +181,24 @@ func (s *Server) Drain() error {
 	return errors.Join(errs...)
 }
 
+// Listener-side timeouts. A client that opens a connection and never
+// finishes its request headers, or keeps an idle keep-alive connection open
+// forever, holds a goroutine and a file descriptor each; these bound both.
+// There is deliberately no read or write timeout on the request itself: an
+// ingest body may be a long-lived stream and /quotes/stream is one by
+// design, so both would be cut.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer wraps the server in a net/http listener configuration with the
+// timeouts above; callers Serve it on their own listener and Shutdown it
+// after Drain.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -191,28 +216,16 @@ func (s *Server) tenantOf(w http.ResponseWriter, r *http.Request) (*Tenant, bool
 	return t, true
 }
 
-// submitAdmitted runs one event through the tenant's admission control,
-// with the configured busy grace: a full queue gets a few short waits (the
-// event is not buffered anywhere while waiting) before ErrBusy sticks.
-func (s *Server) submitAdmitted(t *Tenant, ev engine.Event) error {
-	err := t.submit(ev)
-	if err != engine.ErrBusy || s.busyGrace <= 0 {
-		return err
-	}
-	const step = 100 * time.Microsecond
-	for waited := time.Duration(0); waited < s.busyGrace; waited += step {
-		time.Sleep(step)
-		if err = t.submit(ev); err != engine.ErrBusy {
-			return err
-		}
-	}
-	return engine.ErrBusy
-}
-
-// handleEvent ingests one JSON event. The endpoint is JSON-only — binary
-// frames are batch-shaped and go to /ingest — so any other Content-Type
-// (including the frame codec's) is 415.
-func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
+// handleIngest serves both ingest routes, stopping at the first refusal.
+// Content-Type selects the codec: NDJSON (default) decodes WireEvents line
+// by line; wire.ContentType carries binary batch frames (binary.go). The
+// codecs differ only in how bytes become events: both decode into the same
+// pooled slice and submit it through submitChunk, and the response's
+// Accepted count tells the client exactly how far the stream got, so a
+// retry resumes without loss or duplication. single is the /events route:
+// the NDJSON path stopped after one event and answering 202. It is
+// JSON-only — binary frames are batch-shaped and go to /ingest.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, single bool) {
 	t, ok := s.tenantOf(w, r)
 	if !ok {
 		return
@@ -221,91 +234,129 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if codec != codecJSON {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	switch {
+	case codec == codecJSON:
+		s.ingestJSON(w, t, body, single)
+	case single:
 		writeJSON(w, http.StatusUnsupportedMediaType,
 			IngestResult{Error: "binary frames are accepted on /ingest only"})
-		return
-	}
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
-	accepted := 0
-	defer func() { t.noteCodecTraffic(codecJSON, accepted, body.n) }()
-	var we WireEvent
-	if err := json.NewDecoder(body).Decode(&we); err != nil {
-		writeJSON(w, http.StatusBadRequest, IngestResult{Error: "decoding event: " + err.Error()})
-		return
-	}
-	ev, err := we.Event()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
-		return
-	}
-	switch err := s.submitAdmitted(t, ev); err {
-	case nil:
-		accepted = 1
-		s.finishIngest(w, t, http.StatusAccepted, IngestResult{Accepted: 1})
-	case engine.ErrBusy:
-		s.writeBusy(w, t, IngestResult{})
-	case errDraining, engine.ErrClosed:
-		writeJSON(w, http.StatusServiceUnavailable, IngestResult{Error: "draining"})
 	default:
-		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
+		s.ingestBinary(w, t, body)
 	}
 }
 
-// handleIngest ingests a bulk event stream, stopping at the first refusal.
-// Content-Type selects the codec: NDJSON (default) decodes WireEvents one
-// at a time; wire.ContentType switches to the binary frame fast path
-// (binary.go). Either way the response's Accepted count tells the client
-// exactly how far the stream got, so a 429 retry resumes without loss or
-// duplication.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	codec, ok := s.checkCodec(w, r, t)
-	if !ok {
-		return
-	}
-	if codec == codecBinary {
-		s.handleIngestBinary(w, t, http.MaxBytesReader(w, r.Body, s.maxBody))
-		return
-	}
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
-	dec := json.NewDecoder(body)
+// maxChunk bounds the events the NDJSON decoder buffers between submits, so
+// a long body holds a bounded slice and reaches the engine while it is still
+// arriving. The engine cuts what it is given into its own envelopes.
+const maxChunk = 1024
+
+// ingestJSON decodes WireEvents from body and submits them in chunks. A
+// chunk goes to the engine when it holds maxChunk events, at end of body,
+// and as soon as it ends in a Tick: a client's window of events
+// starts with the Tick that closes the previous window, and submitting that
+// Tick at once lets the close run while the rest of the body is still being
+// decoded (waiting for the whole body cost road-quoted 20 % of events_per_s;
+// see EXPERIMENTS.md, ablation 2). single stops after one event and answers
+// 202 — the /events contract.
+func (s *Server) ingestJSON(w http.ResponseWriter, t *Tenant, body io.Reader, single bool) {
+	st := s.getIngest()
+	defer s.putIngest(st)
+	counted := &countingReader{r: body}
+	dec := json.NewDecoder(counted)
 	accepted := 0
-	defer func() { t.noteCodecTraffic(codecJSON, accepted, body.n) }()
+	defer func() { t.noteCodecTraffic(codecJSON, accepted, counted.n) }()
+	okStatus := http.StatusOK
+	if single {
+		okStatus = http.StatusAccepted
+	}
 	for {
 		var we WireEvent
-		if err := dec.Decode(&we); err == io.EOF {
+		err := dec.Decode(&we)
+		if err == io.EOF && !single {
 			break
-		} else if err != nil {
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: fmt.Sprintf("event %d: %v", accepted+1, err)})
-			return
 		}
-		ev, err := we.Event()
+		var ev engine.Event
+		if err == nil {
+			ev, err = we.Event()
+		}
 		if err != nil {
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: fmt.Sprintf("event %d: %v", accepted+1, err)})
+			// The events before the bad one stand: submit them first, so
+			// Accepted is the resume cursor under a 400 too.
+			if s.submitChunk(w, t, st.evs, &accepted) {
+				s.refuse(w, t, accepted, err)
+			}
 			return
 		}
-		switch err := s.submitAdmitted(t, ev); err {
-		case nil:
-			accepted++
-		case engine.ErrBusy:
-			s.writeBusy(w, t, IngestResult{Accepted: accepted})
-			return
-		case errDraining, engine.ErrClosed:
-			s.finishIngest(w, t, http.StatusServiceUnavailable, IngestResult{Accepted: accepted, Error: "draining"})
-			return
-		default:
-			s.finishIngest(w, t, http.StatusBadRequest,
-				IngestResult{Accepted: accepted, Error: fmt.Sprintf("event %d: %v", accepted+1, err)})
-			return
+		st.evs = append(st.evs, ev)
+		if single {
+			break
+		}
+		if ev.Kind == engine.KindTick || len(st.evs) == maxChunk {
+			if !s.submitChunk(w, t, st.evs, &accepted) {
+				return
+			}
+			st.evs = st.evs[:0]
 		}
 	}
-	s.finishIngest(w, t, http.StatusOK, IngestResult{Accepted: accepted})
+	if s.submitChunk(w, t, st.evs, &accepted) {
+		s.finishIngest(w, t, okStatus, IngestResult{Accepted: accepted})
+	}
+}
+
+// submitChunk hands a decoded chunk to the tenant through admission control
+// and adds the accepted prefix to *accepted. On a refusal it answers the
+// request and reports false.
+func (s *Server) submitChunk(w http.ResponseWriter, t *Tenant, evs []engine.Event, accepted *int) bool {
+	if len(evs) == 0 {
+		return true
+	}
+	n, err := s.submitBatchAdmitted(t, evs)
+	*accepted += n
+	if err != nil {
+		s.refuse(w, t, *accepted, err)
+		return false
+	}
+	return true
+}
+
+// submitBatchAdmitted runs one decoded chunk through the tenant's admission
+// control with the configured busy grace: a partially accepted chunk gets a
+// few short waits (resuming at the accepted offset; nothing is buffered
+// while waiting) before ErrBusy sticks and the events past the accepted
+// prefix count as rejected. Returns the total accepted prefix.
+func (s *Server) submitBatchAdmitted(t *Tenant, evs []engine.Event) (int, error) {
+	accepted, err := t.submitBatch(evs)
+	const step = 100 * time.Microsecond
+	for waited := time.Duration(0); err == engine.ErrBusy && waited < s.busyGrace; waited += step {
+		time.Sleep(step)
+		var n int
+		n, err = t.submitBatch(evs[accepted:])
+		accepted += n
+	}
+	if err == engine.ErrBusy {
+		t.rejected.Add(int64(len(evs) - accepted))
+	}
+	return accepted, err
+}
+
+// refuse answers an ingest request that stops at event accepted+1 — the one
+// mapping from a refusal to a status, shared by every route and codec: a
+// spent budget is 429 with Retry-After, a draining tenant 503, and anything
+// else (an undecodable or invalid event, an engine error) 400 naming the
+// event.
+func (s *Server) refuse(w http.ResponseWriter, t *Tenant, accepted int, err error) {
+	res := IngestResult{Accepted: accepted}
+	switch err {
+	case engine.ErrBusy:
+		s.writeBusy(w, t, res)
+	case errDraining, engine.ErrClosed:
+		res.Error = "draining"
+		s.finishIngest(w, t, http.StatusServiceUnavailable, res)
+	default:
+		res.Error = fmt.Sprintf("event %d: %v", accepted+1, err)
+		s.finishIngest(w, t, http.StatusBadRequest, res)
+	}
 }
 
 // finishIngest writes an ingest response whose Accepted count a client may

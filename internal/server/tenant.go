@@ -69,15 +69,8 @@ type Tenant struct {
 	// cannot race an in-flight Submit (an Engine.Checkpoint precondition).
 	ingestMu sync.RWMutex
 
-	// det marks a deterministic (Shards == 0) engine, which processes
-	// events inline in the submitter's goroutine and therefore needs
-	// submissions serialized; detMu provides that. Concurrent engines
-	// skip it — their router channel is the synchronization point.
-	det   bool
-	detMu sync.Mutex
-
 	ingested atomic.Int64 // events accepted over HTTP
-	rejected atomic.Int64 // events refused with 429 (admission control)
+	rejected atomic.Int64 // events turned away with 429: per refusal, the chunk's events past the accepted prefix
 	draining atomic.Bool
 
 	// codec, when non-empty, is the only wire codec the tenant accepts.
@@ -175,7 +168,6 @@ func newTenant(cfg TenantConfig) (*Tenant, error) {
 		}
 	}
 	t.eng = eng
-	t.det = eng.Shards() == 0
 	return t, nil
 }
 
@@ -194,7 +186,8 @@ func (t *Tenant) Name() string { return t.name }
 func (t *Tenant) Engine() *engine.Engine { return t.eng }
 
 // Ingested reports events accepted over HTTP; Rejected reports events the
-// admission controller refused with 429.
+// admission controller turned away: for every 429, the events of the
+// submitted chunk past the accepted prefix.
 func (t *Tenant) Ingested() int64 { return t.ingested.Load() }
 func (t *Tenant) Rejected() int64 { return t.rejected.Load() }
 
@@ -214,50 +207,20 @@ func (t *Tenant) noteCodecTraffic(codec int, events int, bytes int64) {
 	}
 }
 
-// submit runs one event through admission control: a non-blocking TrySubmit
-// against the engine's bounded ingest queue. engine.ErrBusy propagates to
-// the handler, which converts it into 429 + Retry-After — the queue never
-// grows beyond its fixed capacity on a client's behalf.
-func (t *Tenant) submit(ev engine.Event) error {
-	t.ingestMu.RLock()
-	defer t.ingestMu.RUnlock()
-	if t.draining.Load() {
-		return errDraining
-	}
-	if t.det {
-		t.detMu.Lock()
-		defer t.detMu.Unlock()
-	}
-	if err := t.eng.TrySubmit(ev); err != nil {
-		if err == engine.ErrBusy {
-			t.rejected.Add(1)
-		}
-		return err
-	}
-	t.ingested.Add(1)
-	return nil
-}
-
-// submitBatch is submit at batch granularity: one TrySubmitBatch hands the
-// whole decoded batch to the engine in a single bounded-channel operation,
-// and the accepted-prefix count propagates to the handler as the client's
-// resume cursor — the same lossless 429 contract as per-event ingest, paid
-// once per batch instead of once per event.
+// submitBatch runs one decoded chunk through admission control: a
+// non-blocking TrySubmitBatch against the engine's event budget. The
+// accepted-prefix count propagates to the handler as the client's resume
+// cursor, and engine.ErrBusy becomes 429 + Retry-After there — the queue
+// never grows beyond its fixed capacity on a client's behalf. The engine
+// serializes concurrent submitters itself, in every mode.
 func (t *Tenant) submitBatch(evs []engine.Event) (int, error) {
 	t.ingestMu.RLock()
 	defer t.ingestMu.RUnlock()
 	if t.draining.Load() {
 		return 0, errDraining
 	}
-	if t.det {
-		t.detMu.Lock()
-		defer t.detMu.Unlock()
-	}
 	n, err := t.eng.TrySubmitBatch(evs)
 	t.ingested.Add(int64(n))
-	if err == engine.ErrBusy {
-		t.rejected.Add(int64(len(evs) - n))
-	}
 	return n, err
 }
 

@@ -40,8 +40,8 @@ type GraphMode uint8
 
 const (
 	// GraphCellIndex builds the graph from the spatial cell index — the
-	// offline simulator's historical "indexed" construction
-	// (market.BuildBipartiteIndexed delegates to the same builder). Candidate
+	// offline simulator's construction
+	// (market.BuildBipartiteCellIndexScratch). Candidate
 	// enumeration order, and therefore adjacency order and matching tie
 	// breaks, is byte-identical to the simulator's, which is what makes
 	// deterministic replay reproduce sim revenue bit for bit.

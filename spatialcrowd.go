@@ -516,8 +516,7 @@ func NewRunner() *Runner { return exp.NewRunner() }
 // pricing live data one batch at a time) use this as the entry point. Any
 // spatial backend works; a Grid passes directly.
 func BuildPeriodContext(space Space, period int, tasks []Task, workers []Worker) *PeriodContext {
-	in := &Instance{Space: space, Periods: period + 1}
-	graph := market.BuildBipartiteIndexed(in, tasks, workers)
+	graph := market.BuildBipartiteCellIndexScratch(space, tasks, workers, nil)
 	return core.BuildContext(space, period, tasks, workers, graph)
 }
 
