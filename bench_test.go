@@ -272,8 +272,8 @@ func BenchmarkMAPSPricesOnePeriod(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for cell := range ctx.Cells {
-		cs := m.CellStats(cell)
+	for _, ct := range ctx.Cells {
+		cs := m.CellStats(ct.Cell)
 		for _, p := range cs.Ladder() {
 			cs.Seed(p, 500, int(500*(1-p/6)))
 		}

@@ -86,8 +86,10 @@ func main() {
 	avgPrice := func() float64 {
 		sum, n := 0.0, 0
 		for _, p := range maps.LastPrices {
-			sum += p
-			n++
+			if p > 0 { // 0: no orders in the grid in the last period
+				sum += p
+				n++
+			}
 		}
 		if n == 0 {
 			return 0

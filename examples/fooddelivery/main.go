@@ -62,8 +62,8 @@ func main() {
 
 	fmt.Printf("60 lunch batches priced, total revenue %.1f\n\n", totalRevenue)
 	fmt.Println("learned zone prices (last batch):")
-	for cell := 0; cell < city.NumCells(); cell++ {
-		if p, ok := maps.LastPrices[cell]; ok {
+	for cell, p := range maps.LastPrices {
+		if p > 0 { // 0: no orders in the zone in the last batch
 			c := city.CellCenter(cell)
 			fmt.Printf("  zone %d at (%.0f,%.0f): %.2f per km  (true willingness ~%.2f)\n",
 				cell, c.X, c.Y, p, willingness(cell))

@@ -65,23 +65,25 @@ func main() {
 	}
 
 	// Peek at MAPS's final per-grid surge map: the last period's prices,
-	// highest first. Hotspot grids (scarce supply) carry the premium.
+	// highest first (equal prices by grid id). Hotspot grids (scarce supply)
+	// carry the premium. LastPrices is indexed by grid; 0 means unpriced.
 	fmt.Println("\nMAPS per-grid prices in the last priced period (top 8):")
-	type gp struct {
-		cell  int
-		price float64
-	}
-	var prices []gp
+	var priced []int
 	for cell, p := range maps.LastPrices {
-		prices = append(prices, gp{cell, p})
+		if p > 0 {
+			priced = append(priced, cell)
+		}
 	}
-	sort.Slice(prices, func(i, j int) bool { return prices[i].price > prices[j].price })
-	for i, p := range prices {
+	sort.Slice(priced, func(i, j int) bool {
+		pi, pj := maps.LastPrices[priced[i]], maps.LastPrices[priced[j]]
+		return pi > pj || pi == pj && priced[i] < priced[j]
+	})
+	for i, cell := range priced {
 		if i >= 8 {
 			break
 		}
-		c := instance.Grid.CellCenter(p.cell)
+		c := instance.Grid.CellCenter(cell)
 		fmt.Printf("  grid %2d at (%.1f, %.1f) km: %.2f per km (supply %d)\n",
-			p.cell, c.X, c.Y, p.price, maps.LastSupply[p.cell])
+			cell, c.X, c.Y, maps.LastPrices[cell], maps.LastSupply[cell])
 	}
 }

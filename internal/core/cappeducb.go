@@ -17,13 +17,7 @@ type CappedUCB struct {
 
 	basePrice float64
 	ladder    []float64
-	cells     map[int]*CellStats
-
-	// counts per cell kept for the memory-profile parity with the paper
-	// ("CappedUCB needs to store more information such as the number of
-	// tasks and workers in each grid").
-	taskCount   map[int]int //lint:snapfields memory-parity telemetry, rebuilt every window
-	workerCount map[int]int //lint:snapfields memory-parity telemetry, rebuilt every window
+	cells     cellTable
 
 	// ver counts price-relevant state changes; see PriceStateVersion.
 	ver uint64 //lint:snapfields cache-invalidation counter; RestoreState bumps it instead of restoring it
@@ -39,12 +33,9 @@ func NewCappedUCB(p Params, basePrice float64) (*CappedUCB, error) {
 		return nil, err
 	}
 	return &CappedUCB{
-		P:           p,
-		basePrice:   p.Clamp(basePrice),
-		ladder:      ladder,
-		cells:       make(map[int]*CellStats),
-		taskCount:   make(map[int]int),
-		workerCount: make(map[int]int),
+		P:         p,
+		basePrice: p.Clamp(basePrice),
+		ladder:    ladder,
 	}, nil
 }
 
@@ -52,37 +43,22 @@ func NewCappedUCB(p Params, basePrice float64) (*CappedUCB, error) {
 func (c *CappedUCB) Name() string { return "CappedUCB" }
 
 // CellStats returns (creating on demand) the learning state of a cell.
-func (c *CappedUCB) CellStats(cell int) *CellStats { return c.cellStats(cell) }
-
-// cellStats returns (creating on demand) the learning state of a cell.
-func (c *CappedUCB) cellStats(cell int) *CellStats {
-	cs, ok := c.cells[cell]
-	if !ok {
-		cs = NewCellStats(c.ladder)
-		c.cells[cell] = cs
-	}
-	return cs
-}
+func (c *CappedUCB) CellStats(cell int) *CellStats { return c.cells.at(cell, c.ladder) }
 
 // Prices implements Strategy.
 func (c *CappedUCB) Prices(ctx *PeriodContext) []float64 {
 	workers := countWorkersByCell(ctx)
 	out := make([]float64, len(ctx.Tasks))
-	for cell, n := range workers {
-		c.workerCount[cell] = n
-	}
-	//lint:ordered each grid is priced independently; writes land in per-cell map keys and disjoint out indices
-	for cell, tasks := range ctx.Cells {
-		c.taskCount[cell] = len(tasks)
-		cs := c.cellStats(cell)
+	for _, ct := range ctx.Cells {
+		cs := c.CellStats(ct.Cell)
 		price := c.basePrice
-		if cs.Total() > 0 && len(tasks) > 0 {
+		if cs.Total() > 0 {
 			// D/C with every d_r = 1: |W^tg| / |R^tg|.
-			ratio := float64(workers[cell]) / float64(len(tasks))
+			ratio := float64(workers[ct.Cell]) / float64(len(ct.Tasks))
 			pos, _ := cs.BestIndex(ratio)
 			price = c.ladder[pos]
 		}
-		for _, ti := range tasks {
+		for _, ti := range ct.Tasks {
 			out[ti] = price
 		}
 	}
@@ -95,7 +71,7 @@ func (c *CappedUCB) Observe(ctx *PeriodContext, prices []float64, accepted []boo
 		c.ver++
 	}
 	for i, tv := range ctx.Tasks {
-		c.cellStats(tv.Cell).Observe(prices[i], accepted[i])
+		c.CellStats(tv.Cell).Observe(prices[i], accepted[i])
 	}
 }
 

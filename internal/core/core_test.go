@@ -394,8 +394,8 @@ func TestMAPSSupplyRespectsMatchingFeasibility(t *testing.T) {
 		ctx := BuildContext(grid, 0, tasks, workers, graph)
 		m, _ := NewMAPS(DefaultParams(), 2)
 		// Seed moderate stats so supply allocation actually happens.
-		for cell := range ctx.Cells {
-			cs := m.CellStats(cell)
+		for _, ct := range ctx.Cells {
+			cs := m.CellStats(ct.Cell)
 			for _, p := range cs.Ladder() {
 				cs.Seed(p, 200, int(200*(1-p/6)))
 			}
@@ -408,6 +408,39 @@ func TestMAPSSupplyRespectsMatchingFeasibility(t *testing.T) {
 		maxMatch := match.MaxCardinality(ctx.Graph).Size()
 		if totalSupply > maxMatch {
 			t.Fatalf("trial %d: supply %d > max matching %d", trial, totalSupply, maxMatch)
+		}
+	}
+}
+
+// TestMAPSPricesSteadyStateAllocs pins Prices' allocation budget once its
+// arenas are warm: exactly one allocation, the returned price vector, with
+// and without smoothing.
+func TestMAPSPricesSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	grid := geo.SquareGrid(100, 6)
+	var tasks []market.Task
+	for i := 0; i < 80; i++ {
+		o := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+		tasks = append(tasks, market.Task{ID: i, Origin: o, Distance: 1 + rng.Float64()*5})
+	}
+	var workers []market.Worker
+	for i := 0; i < 30; i++ {
+		workers = append(workers, market.Worker{ID: i,
+			Loc: geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Radius: 15})
+	}
+	ctx := BuildContext(grid, 0, tasks, workers, market.BuildBipartite(tasks, workers))
+	for _, w := range []float64{0, 0.3} {
+		m, _ := NewMAPS(DefaultParams(), 2)
+		m.Smoothing = w
+		for _, ct := range ctx.Cells {
+			cs := m.CellStats(ct.Cell)
+			for _, p := range cs.Ladder() {
+				cs.Seed(p, 500, int(500*(1-p/6)))
+			}
+		}
+		m.Prices(ctx)
+		if allocs := testing.AllocsPerRun(20, func() { m.Prices(ctx) }); allocs != 1 {
+			t.Errorf("smoothing %v: %v allocations per steady-state Prices, want 1", w, allocs)
 		}
 	}
 }
@@ -611,10 +644,10 @@ func TestCappedUCBLearnsSingleMarket(t *testing.T) {
 
 func TestBuildContextGrouping(t *testing.T) {
 	ctx := exampleContext(t)
-	if len(ctx.Cells) != 2 {
-		t.Fatalf("cells = %v, want 2 groups", ctx.Cells)
+	if len(ctx.Cells) != 2 || ctx.Cells[0].Cell != 8 || ctx.Cells[1].Cell != 10 {
+		t.Fatalf("cells = %v, want groups for cells 8 and 10, ascending", ctx.Cells)
 	}
-	g9 := ctx.Cells[8]
+	g9 := ctx.Cells[0].Tasks
 	if len(g9) != 2 {
 		t.Fatalf("cell 8 has %d tasks, want 2", len(g9))
 	}
@@ -623,8 +656,8 @@ func TestBuildContextGrouping(t *testing.T) {
 		t.Errorf("cell 8 order wrong: %v then %v",
 			ctx.Tasks[g9[0]].Distance, ctx.Tasks[g9[1]].Distance)
 	}
-	if len(ctx.Cells[10]) != 1 {
-		t.Errorf("cell 10 tasks = %v, want 1", ctx.Cells[10])
+	if len(ctx.Cells[1].Tasks) != 1 {
+		t.Errorf("cell 10 tasks = %v, want 1", ctx.Cells[1].Tasks)
 	}
 }
 

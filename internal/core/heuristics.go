@@ -2,11 +2,11 @@ package core
 
 import "math"
 
-// countWorkersByCell buckets this period's workers into cells by their
-// current location; the supply-demand heuristics compare it against the
-// per-cell task counts.
-func countWorkersByCell(ctx *PeriodContext) map[int]int {
-	out := make(map[int]int)
+// countWorkersByCell counts this period's workers per cell (indexed by cell
+// id) by their current location; the supply-demand heuristics compare it
+// against the per-cell task counts.
+func countWorkersByCell(ctx *PeriodContext) []int {
+	out := make([]int, ctx.Space.NumCells())
 	for _, w := range ctx.Workers {
 		out[ctx.Space.CellOf(w.Loc)]++
 	}
@@ -37,9 +37,8 @@ func (s *SDR) Name() string { return "SDR" }
 func (s *SDR) Prices(ctx *PeriodContext) []float64 {
 	workers := countWorkersByCell(ctx)
 	out := make([]float64, len(ctx.Tasks))
-	//lint:ordered each grid is priced independently; writes go to disjoint out indices
-	for cell, tasks := range ctx.Cells {
-		nr, nw := len(tasks), workers[cell]
+	for _, ct := range ctx.Cells {
+		nr, nw := len(ct.Tasks), workers[ct.Cell]
 		price := s.BasePrice
 		if nr > nw {
 			if nw == 0 {
@@ -48,7 +47,7 @@ func (s *SDR) Prices(ctx *PeriodContext) []float64 {
 				price = s.P.Clamp(s.Coef * s.BasePrice * float64(nr) / float64(nw))
 			}
 		}
-		for _, ti := range tasks {
+		for _, ti := range ct.Tasks {
 			out[ti] = price
 		}
 	}
@@ -87,14 +86,13 @@ func (s *SDE) Name() string { return "SDE" }
 func (s *SDE) Prices(ctx *PeriodContext) []float64 {
 	workers := countWorkersByCell(ctx)
 	out := make([]float64, len(ctx.Tasks))
-	//lint:ordered each grid is priced independently; writes go to disjoint out indices
-	for cell, tasks := range ctx.Cells {
-		nr, nw := len(tasks), workers[cell]
+	for _, ct := range ctx.Cells {
+		nr, nw := len(ct.Tasks), workers[ct.Cell]
 		price := s.BasePrice
 		if nr > nw {
 			price = s.P.Clamp(s.BasePrice * (1 + 2*math.Exp(float64(nw-nr))))
 		}
-		for _, ti := range tasks {
+		for _, ti := range ct.Tasks {
 			out[ti] = price
 		}
 	}

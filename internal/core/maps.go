@@ -26,46 +26,33 @@ type MAPS struct {
 
 	basePrice float64
 	ladder    []float64
-	cells     map[int]*CellStats
-
-	// NoMatchingValidation disables the augmenting-path check when admitting
-	// supply (ablation A2 in DESIGN.md): every grid may claim up to |R^tg|
-	// workers regardless of the bipartite structure, as if supply were
-	// independent across grids. Real deployments must leave this false.
-	NoMatchingValidation bool //lint:snapfields ablation knob, part of config rather than learned state
+	cells     cellTable
 
 	// Smoothing in [0, 1) blends each grid's price toward its neighbors'
 	// average after the main pricing pass (Section 4.2.3's spatial smoothing
 	// note). 0 disables smoothing.
 	Smoothing float64
 
-	// LastSupply exposes the n^{tg} chosen in the most recent Prices call
-	// (cell -> worker count); experiment ablations read it.
-	LastSupply map[int]int //lint:snapfields per-window diagnostic output, rebuilt by the next Prices call
-	// LastPrices exposes the final per-grid prices of the last Prices call.
-	LastPrices map[int]float64 //lint:snapfields per-window diagnostic output, rebuilt by the next Prices call
+	// LastSupply and LastPrices expose the n^{tg} and the final unit price
+	// the most recent Prices call chose for every cell, indexed by cell id
+	// (one entry per cell of the space). Cells without tasks in that period
+	// read 0. Both are rewritten in place by the next Prices call.
+	LastSupply []int     //lint:snapfields per-window diagnostic output, rebuilt by the next Prices call
+	LastPrices []float64 //lint:snapfields per-window diagnostic output, rebuilt by the next Prices call
 
 	// Per-period working state, reused across Prices calls (strategies
-	// serve one goroutine; the engine gives each shard a private instance).
-	// The greedy loop's structures — pre-matching, proposal heap, cell
-	// rounds — allocate nothing in steady state; the returned price slice
-	// and the exported LastSupply/LastPrices maps are still fresh per call,
-	// because callers may retain them across periods.
-	pre       preMatcher         //lint:snapfields per-period scratch, reset at the top of every Prices call
-	h         deltaHeap          //lint:snapfields per-period scratch, reset at the top of every Prices call
-	rounds    map[int]*cellRound //lint:snapfields per-period scratch, reset at the top of every Prices call
-	roundFree []*cellRound       //lint:snapfields buffer free-list; capacity cache only, never holds live state
+	// serve one goroutine; the engine gives each shard a private instance),
+	// so in steady state the returned price slice is Prices' only
+	// allocation.
+	pre    preMatcher  //lint:snapfields per-period scratch, reset at the top of every Prices call
+	h      deltaHeap   //lint:snapfields per-period scratch, reset at the top of every Prices call
+	rounds []cellRound //lint:snapfields per-period scratch, one per ctx.Cells entry, rebuilt by every Prices call
+	prefix []float64   //lint:snapfields per-period scratch backing every round's prefix sums
+	nbuf   []int       //lint:snapfields neighbor buffer for smoothing; capacity cache only
 
 	// ver counts state changes that can alter future prices (Observe,
 	// SetLadder, snapshot restore); see PriceStateVersion.
 	ver uint64 //lint:snapfields cache-invalidation counter; RestoreState bumps it instead of restoring it
-
-	// Previous smoothing pass (raw input, smoothed output, weight), kept as
-	// private copies so SmoothPricesIncremental can skip cells whose
-	// neighborhood did not change between windows.
-	prevRaw    map[int]float64 //lint:snapfields smoothing delta cache; restore clears it and the next window recomputes in full
-	prevSmooth map[int]float64 //lint:snapfields smoothing delta cache; restore clears it and the next window recomputes in full
-	prevW      float64         //lint:snapfields smoothing delta cache; restore clears it and the next window recomputes in full
 }
 
 // NewMAPS builds a MAPS strategy around a base price (typically
@@ -82,7 +69,6 @@ func NewMAPS(p Params, basePrice float64) (*MAPS, error) {
 		P:         p,
 		basePrice: p.Clamp(basePrice),
 		ladder:    ladder,
-		cells:     make(map[int]*CellStats),
 	}, nil
 }
 
@@ -90,26 +76,19 @@ func NewMAPS(p Params, basePrice float64) (*MAPS, error) {
 func (m *MAPS) Name() string { return "MAPS" }
 
 // GridPrices implements GridPricer with the last period's per-grid prices.
-func (m *MAPS) GridPrices() map[int]float64 { return m.LastPrices }
+func (m *MAPS) GridPrices() []float64 { return m.LastPrices }
 
 // BasePrice returns the p_b used for task-free grids and initialization.
 func (m *MAPS) BasePrice() float64 { return m.basePrice }
 
 // CellStats returns (creating on demand) the learning state of a cell.
-func (m *MAPS) CellStats(cell int) *CellStats {
-	cs, ok := m.cells[cell]
-	if !ok {
-		cs = NewCellStats(m.ladder)
-		m.cells[cell] = cs
-	}
-	return cs
-}
+func (m *MAPS) CellStats(cell int) *CellStats { return m.cells.at(cell, m.ladder) }
 
 // SetLadder replaces the candidate price set, e.g. with an empirically
 // tabulated one like Table 1 of the paper. It resets all learned statistics.
 func (m *MAPS) SetLadder(ladder []float64) {
 	m.ladder = append([]float64(nil), ladder...)
-	m.cells = make(map[int]*CellStats)
+	m.cells = nil
 	m.ver++
 }
 
@@ -118,9 +97,27 @@ func (m *MAPS) SetLadder(ladder []float64) {
 // is replayed only for windows between which MAPS learned nothing.
 func (m *MAPS) PriceStateVersion() uint64 { return m.ver }
 
+// cellTable is a learner's per-cell statistics indexed by cell id, grown on
+// demand; a nil entry is a cell never touched.
+type cellTable []*CellStats
+
+// at returns (creating on demand) the statistics of a cell.
+func (t *cellTable) at(cell int, ladder []float64) *CellStats {
+	if cell >= len(*t) {
+		*t = append(*t, make([]*CellStats, cell+1-len(*t))...)
+	}
+	cs := (*t)[cell]
+	if cs == nil {
+		cs = NewCellStats(ladder)
+		(*t)[cell] = cs
+	}
+	return cs
+}
+
 // heapEntry is the tuple ((g, n_new, p_new), Δ^g) of Algorithm 2.
 type heapEntry struct {
 	cell  int
+	round int // the cell's position in ctx.Cells and MAPS.rounds
 	nNew  int
 	pNew  float64
 	delta float64 // +Inf on the initialization round
@@ -134,10 +131,10 @@ type deltaHeap []heapEntry
 
 // less orders by Δ descending with cell ID as the tie-break. The tie-break
 // is load-bearing: equal deltas are common (every grid starts at Δ = ∞, and
-// retired grids all carry Δ = 0), the grids compete for a shared worker pool
-// through the pre-matching, and entries land in the heap in ctx.Cells map
-// order — without the tie-break, which grid wins a contested worker would
-// depend on map iteration order and replay would not be bit-identical.
+// retired grids all carry Δ = 0) and the grids compete for a shared worker
+// pool through the pre-matching, so which grid wins a contested worker is
+// decided here. With one live entry per cell, (Δ, cell) is a total order:
+// the pop sequence does not depend on push order.
 func (h deltaHeap) less(i, j int) bool {
 	if h[i].delta != h[j].delta {
 		return h[i].delta > h[j].delta
@@ -188,26 +185,14 @@ func (h *deltaHeap) pop() heapEntry {
 // cellRound is MAPS's per-period working state for one grid cell.
 type cellRound struct {
 	cellID    int
-	tasks     []int   // task indices, distance-descending (ctx.Cells order)
-	sumDist   float64 // C = Σ_r d_r over the cell's tasks
-	prefix    []float64
-	n         int     // committed supply n^{tg}
-	price     float64 // current tentative price
-	lval      float64 // L^g at the committed (n, price)
+	cs        *CellStats // the cell's statistics, cached on first use (statsOf)
+	tasks     []int      // task indices, distance-descending (ctx.Cells order)
+	sumDist   float64    // C = Σ_r d_r over the cell's tasks
+	prefix    []float64  // prefix[i] = Σ of the i+1 largest distances
+	n         int        // committed supply n^{tg}
+	price     float64    // current tentative price
+	lval      float64    // L^g at the committed (n, price)
 	finalized bool
-}
-
-// takeRound pops a recycled cellRound (or allocates the pool's first), reset
-// to zero state except for the reusable prefix arena.
-func (m *MAPS) takeRound() *cellRound {
-	n := len(m.roundFree)
-	if n == 0 {
-		return &cellRound{}
-	}
-	cr := m.roundFree[n-1]
-	m.roundFree = m.roundFree[:n-1]
-	*cr = cellRound{prefix: cr.prefix[:0]}
-	return cr
 }
 
 // topDistSum returns D = Σ of the top-n distances.
@@ -224,8 +209,8 @@ func (cr *cellRound) topDistSum(n int) float64 {
 // Prices implements Strategy by running Algorithm 2.
 func (m *MAPS) Prices(ctx *PeriodContext) []float64 {
 	prices := make([]float64, len(ctx.Tasks))
-	m.LastSupply = make(map[int]int, len(ctx.Cells))
-	m.LastPrices = make(map[int]float64, len(ctx.Cells))
+	m.clearLast(ctx.Space.NumCells())
+	m.rounds = resize(m.rounds, len(ctx.Cells))
 	if len(ctx.Tasks) == 0 {
 		return prices
 	}
@@ -234,54 +219,38 @@ func (m *MAPS) Prices(ctx *PeriodContext) []float64 {
 	m.pre.reset(ctx)
 	pre := &m.pre
 
-	// Recycle the previous period's working rounds and heap.
-	rounds := m.rounds
-	if rounds == nil {
-		rounds = make(map[int]*cellRound, len(ctx.Cells))
-		m.rounds = rounds
-	}
-	//lint:ordered free-list order only decides which recycled buffer serves which cell, never the computed values
-	for c, cr := range rounds {
-		m.roundFree = append(m.roundFree, cr)
-		delete(rounds, c)
-	}
-	h := &m.h
-	*h = (*h)[:0]
 	// Lines 3–4: one entry per grid with Δ = ∞ so every grid is evaluated
 	// once before any admission.
-	//lint:ordered heap pops are totally ordered by (delta, cell) regardless of push order; all other writes are keyed per cell
-	for cell, tasks := range ctx.Cells {
-		cr := m.takeRound()
-		cr.cellID = cell
-		cr.tasks = tasks
-		cr.price = m.basePrice
-		if cap(cr.prefix) >= len(tasks) {
-			cr.prefix = cr.prefix[:len(tasks)]
-		} else {
-			cr.prefix = make([]float64, len(tasks))
-		}
+	h := &m.h
+	*h = (*h)[:0]
+	m.prefix = resize(m.prefix, len(ctx.Tasks))
+	off := 0
+	for i, ct := range ctx.Cells {
+		prefix := m.prefix[off : off+len(ct.Tasks) : off+len(ct.Tasks)]
+		off += len(ct.Tasks)
 		run := 0.0
-		for i, ti := range tasks {
-			d := ctx.Tasks[ti].Distance
-			run += d
-			cr.prefix[i] = run
+		for k, ti := range ct.Tasks {
+			run += ctx.Tasks[ti].Distance
+			prefix[k] = run
 		}
-		cr.sumDist = run
-		rounds[cell] = cr
-		h.push(heapEntry{cell: cell, nNew: 0, pNew: m.basePrice, delta: math.Inf(1)})
+		m.rounds[i] = cellRound{
+			cellID: ct.Cell, tasks: ct.Tasks, sumDist: run, prefix: prefix,
+			price: m.basePrice,
+		}
+		h.push(heapEntry{cell: ct.Cell, round: i, nNew: 0, pNew: m.basePrice, delta: math.Inf(1)})
 	}
 
 	// Lines 5–21: the greedy supply-distribution loop.
 	for len(*h) > 0 {
 		e := h.pop()
-		cr := rounds[e.cell]
+		cr := &m.rounds[e.round]
 		if cr.finalized {
 			continue
 		}
 		if !math.IsInf(e.delta, 1) && e.delta > 0 {
 			// Lines 8–10: admit the proposed worker — find an augmenting
 			// path for an unassigned task of this grid.
-			if m.NoMatchingValidation || pre.augmentOne(e.cell, cr) {
+			if pre.augmentOne(cr) {
 				cr.n = e.nNew
 				cr.price = e.pNew
 				cr.lval = m.lValue(cr, cr.n, cr.price)
@@ -297,15 +266,9 @@ func (m *MAPS) Prices(ctx *PeriodContext) []float64 {
 			continue
 		}
 		// Lines 16–21: propose one more worker for this grid.
-		feasible := len(cr.tasks) > 0
-		if feasible && !m.NoMatchingValidation {
-			feasible = pre.canAugment(e.cell, cr)
-		} else if feasible && m.NoMatchingValidation {
-			feasible = cr.n < len(cr.tasks)
-		}
-		if !feasible {
+		if !pre.canAugment(cr) {
 			price := cr.price
-			if cr.n == 0 && len(cr.tasks) > 0 {
+			if cr.n == 0 {
 				// Starved grid: no supply could be validated. Retire it at
 				// its one-worker aspirational price, which sits high on the
 				// revenue curve (Section 4.2.3's note that MAPS prices
@@ -315,54 +278,68 @@ func (m *MAPS) Prices(ctx *PeriodContext) []float64 {
 				// realized assignment.
 				price, _ = m.maximizer(cr, 1)
 			}
-			h.push(heapEntry{cell: e.cell, nNew: cr.n, pNew: price, delta: 0})
+			h.push(heapEntry{cell: e.cell, round: e.round, nNew: cr.n, pNew: price, delta: 0})
 			continue
 		}
 		nNext := cr.n + 1
 		pNext, lNext := m.maximizer(cr, nNext)
 		delta := lNext - cr.lval
 		if delta <= 1e-12 {
-			h.push(heapEntry{cell: e.cell, nNew: cr.n, pNew: pNext, delta: 0})
+			h.push(heapEntry{cell: e.cell, round: e.round, nNew: cr.n, pNew: pNext, delta: 0})
 			continue
 		}
-		h.push(heapEntry{cell: e.cell, nNew: nNext, pNew: pNext, delta: delta})
+		h.push(heapEntry{cell: e.cell, round: e.round, nNew: nNext, pNew: pNext, delta: delta})
 	}
 
 	// Emit per-task prices; task-free grids never appear in ctx.Cells and
 	// implicitly keep the base price.
-	//lint:ordered per-cell map writes whose values derive only from that cell's round
-	for cell, cr := range rounds {
-		m.LastSupply[cell] = cr.n
-		m.LastPrices[cell] = m.P.Clamp(cr.price)
+	for i := range m.rounds {
+		cr := &m.rounds[i]
+		cr.price = m.P.Clamp(cr.price)
+		m.LastSupply[cr.cellID] = cr.n
+		m.LastPrices[cr.cellID] = cr.price
 	}
 	if m.Smoothing > 0 {
-		raw := m.LastPrices
-		hist := m.prevRaw
-		if m.Smoothing != m.prevW {
-			hist = nil // weight changed: the previous pass is not comparable
+		// Every cell reads its neighbors' unsmoothed prices from LastPrices,
+		// so the smoothed values wait in the rounds until all are computed.
+		w := smoothingWeight(m.Smoothing)
+		for i := range m.rounds {
+			cr := &m.rounds[i]
+			cr.price, m.nbuf = smoothCell(ctx.Space, m.LastPrices, cr.cellID, w, m.nbuf)
 		}
-		m.LastPrices = SmoothPricesIncremental(ctx.Space, raw, hist, m.prevSmooth, m.Smoothing)
-		// Keep private copies for the next window's delta detection (the
-		// exported maps may be retained or mutated by callers).
-		m.prevRaw = copyPriceMap(m.prevRaw, raw)
-		m.prevSmooth = copyPriceMap(m.prevSmooth, m.LastPrices)
-		m.prevW = m.Smoothing
+		for i := range m.rounds {
+			m.LastPrices[m.rounds[i].cellID] = m.rounds[i].price
+		}
 	}
-	//lint:ordered writes go to disjoint task indices owned by each cell
-	for cell, cr := range rounds {
-		p := m.LastPrices[cell]
+	for i := range m.rounds {
+		cr := &m.rounds[i]
 		for _, ti := range cr.tasks {
-			prices[ti] = p
+			prices[ti] = cr.price
 		}
 	}
 	return prices
+}
+
+// clearLast zeroes the entries the previous Prices call wrote into
+// LastSupply and LastPrices, or reallocates both when the space's cell
+// count changed.
+func (m *MAPS) clearLast(numCells int) {
+	if len(m.LastPrices) != numCells || len(m.LastSupply) != numCells {
+		m.LastSupply = make([]int, numCells)
+		m.LastPrices = make([]float64, numCells)
+		return
+	}
+	for i := range m.rounds {
+		c := m.rounds[i].cellID
+		m.LastSupply[c], m.LastPrices[c] = 0, 0
+	}
 }
 
 // maximizer is Algorithm 3: scan the ladder from pmax down and return the
 // price with the largest UCB index, along with the resulting estimate of
 // L^g(n, p) (the index scaled back by C).
 func (m *MAPS) maximizer(cr *cellRound, n int) (price, lval float64) {
-	cs := m.cellStatsFor(cr)
+	cs := m.statsOf(cr)
 	if cr.sumDist <= 0 || cs.Total() == 0 {
 		// No demand mass or no observations yet: stay at the base price, the
 		// initial input Algorithm 2 receives from base pricing.
@@ -378,16 +355,18 @@ func (m *MAPS) maximizer(cr *cellRound, n int) (price, lval float64) {
 
 // lValue evaluates the committed L^g(n, p) with the current statistics.
 func (m *MAPS) lValue(cr *cellRound, n int, p float64) float64 {
-	cs := m.cellStatsFor(cr)
+	cs := m.statsOf(cr)
 	demand := cr.sumDist * p * cs.MeanAt(p)
 	supply := cr.topDistSum(n) * p
 	return math.Min(demand, supply)
 }
 
-// cellStatsFor maps a working round back to its persistent statistics.
-func (m *MAPS) cellStatsFor(cr *cellRound) *CellStats {
-	// rounds are keyed by cell in Prices; stash the cell on first use.
-	return m.CellStats(cr.cellID)
+// statsOf returns the round's cell statistics, caching them on the round.
+func (m *MAPS) statsOf(cr *cellRound) *CellStats {
+	if cr.cs == nil {
+		cr.cs = m.CellStats(cr.cellID)
+	}
+	return cr.cs
 }
 
 // Observe implements Strategy: feed every requester decision into the cell's
@@ -403,20 +382,4 @@ func (m *MAPS) Observe(ctx *PeriodContext, prices []float64, accepted []bool) {
 	for i, tv := range ctx.Tasks {
 		m.CellStats(tv.Cell).Observe(prices[i], accepted[i])
 	}
-}
-
-// copyPriceMap replaces dst's contents with src's, reusing dst when
-// possible.
-func copyPriceMap(dst, src map[int]float64) map[int]float64 {
-	if dst == nil {
-		dst = make(map[int]float64, len(src))
-	} else {
-		for k := range dst {
-			delete(dst, k)
-		}
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }

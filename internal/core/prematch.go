@@ -13,13 +13,6 @@ type preMatcher struct {
 	buf []int // unassigned-candidate buffer, reused across probes
 }
 
-// newPreMatcher wraps the period's graph.
-func newPreMatcher(ctx *PeriodContext) *preMatcher {
-	pm := &preMatcher{}
-	pm.reset(ctx)
-	return pm
-}
-
 // reset re-arms the pre-matcher over a new period's graph, reusing the
 // incremental matcher's arrays.
 func (pm *preMatcher) reset(ctx *PeriodContext) {
@@ -46,15 +39,12 @@ func (pm *preMatcher) unassigned(cr *cellRound) []int {
 
 // augmentOne commits one more of the cell's tasks into M′ via an augmenting
 // path (Algorithm 2, line 10). It reports whether a path existed.
-func (pm *preMatcher) augmentOne(cell int, cr *cellRound) bool {
+func (pm *preMatcher) augmentOne(cr *cellRound) bool {
 	return pm.inc.TryAugmentAny(pm.unassigned(cr)) >= 0
 }
 
 // canAugment reports whether some unassigned task of the cell admits an
 // augmenting path, without mutating M′ (Algorithm 2, line 16).
-func (pm *preMatcher) canAugment(cell int, cr *cellRound) bool {
+func (pm *preMatcher) canAugment(cr *cellRound) bool {
 	return pm.inc.CanAugmentAny(pm.unassigned(cr))
 }
-
-// matching exposes M′ for tests.
-func (pm *preMatcher) matching() *match.Matching { return pm.inc.Matching() }

@@ -2,130 +2,84 @@ package core
 
 import "spatialcrowd/internal/spatial"
 
-// SmoothPrices applies one pass of spatial price smoothing: each cell's
-// price moves toward the average price of its neighboring cells (up to 8 on
-// a grid; the cluster adjacency on a road network), weighted by w in [0, 1).
-// This implements the practical note of Section 4.2.3 — "Spatial smoothing
-// can also be integrated to reduce the gap of unit prices among neighbouring
-// grids" — which platforms use to avoid cliff-edge surges across street
-// boundaries.
+// Spatial price smoothing works on dense per-cell price vectors: prices[c]
+// is cell c's unit price, and 0 marks a cell that was not priced (real
+// prices are at least Params.PMin > 0). Cells past the end of the slice are
+// unpriced too.
+
+// SmoothPrices applies one pass of spatial price smoothing: each priced
+// cell's price moves toward the average price of its priced neighboring
+// cells (up to 8 on a grid; the cluster adjacency on a road network),
+// weighted by w in [0, 1). This implements the practical note of
+// Section 4.2.3 — "Spatial smoothing can also be integrated to reduce the
+// gap of unit prices among neighbouring grids" — which platforms use to
+// avoid cliff-edge surges across street boundaries.
 //
-// Cells absent from prices (no tasks this period) do not contribute to
-// their neighbors' averages. The result is a new map; the input is not
-// modified.
-func SmoothPrices(space spatial.Space, prices map[int]float64, w float64) map[int]float64 {
-	out := make(map[int]float64, len(prices))
+// Unpriced cells stay 0 and do not contribute to their neighbors' averages.
+// The result is a new slice; the input is not modified.
+func SmoothPrices(space spatial.Space, prices []float64, w float64) []float64 {
+	out := append([]float64(nil), prices...)
 	if w <= 0 {
-		for c, p := range prices {
-			out[c] = p
-		}
 		return out
 	}
-	if w >= 1 {
-		w = 0.999
-	}
+	w = smoothingWeight(w)
 	var buf []int
-	//lint:ordered each cell's smoothed value reads the input map and writes only out[cell]
 	for cell, p := range prices {
-		sum, n := 0.0, 0
-		buf = space.NeighborsAppend(cell, buf[:0])
-		for _, nb := range buf {
-			if np, ok := prices[nb]; ok {
-				sum += np
-				n++
-			}
+		if p > 0 {
+			out[cell], buf = smoothCell(space, prices, cell, w, buf)
 		}
-		if n == 0 {
-			out[cell] = p
-			continue
-		}
-		out[cell] = (1-w)*p + w*sum/float64(n)
 	}
 	return out
 }
 
-// SmoothPricesIncremental is SmoothPrices restricted to the cells whose
-// result can actually have changed since a previous smoothing pass: given
-// the previous pass's raw input (prevRaw) and output (prevSmoothed) under
-// the same weight and spatial backend, a cell is recomputed iff its own raw
-// price or any neighbor's raw price changed, appeared, or disappeared;
-// every other cell copies its previous smoothed value, which is bit-exact
-// because its entire input neighborhood is unchanged and the per-cell
-// computation touches nothing else. Passing nil history falls back to a
-// full SmoothPrices pass. The result is a new map; no input is modified.
-func SmoothPricesIncremental(space spatial.Space, prices, prevRaw, prevSmoothed map[int]float64, w float64) map[int]float64 {
-	if prevRaw == nil || prevSmoothed == nil {
-		return SmoothPrices(space, prices, w)
-	}
-	out := make(map[int]float64, len(prices))
-	if w <= 0 {
-		for c, p := range prices {
-			out[c] = p
-		}
-		return out
-	}
+// smoothingWeight caps a positive smoothing weight below 1, where a cell
+// would forget its own price entirely.
+func smoothingWeight(w float64) float64 {
 	if w >= 1 {
-		w = 0.999
+		return 0.999
 	}
-	dirty := make(map[int]struct{})
-	for c, p := range prices {
-		if pp, ok := prevRaw[c]; !ok || pp != p {
-			dirty[c] = struct{}{}
+	return w
+}
+
+// smoothCell returns the smoothed price of one priced cell, reading its
+// neighbors through the reused buffer (returned for the next call).
+func smoothCell(space spatial.Space, prices []float64, cell int, w float64, buf []int) (float64, []int) {
+	p := prices[cell]
+	sum, n := 0.0, 0
+	buf = space.NeighborsAppend(cell, buf[:0])
+	for _, nb := range buf {
+		if np := priceOf(prices, nb); np > 0 {
+			sum += np
+			n++
 		}
 	}
-	for c := range prevRaw {
-		if _, ok := prices[c]; !ok {
-			dirty[c] = struct{}{}
-		}
+	if n == 0 {
+		return p, buf
 	}
-	var buf []int
-	//lint:ordered each cell's smoothed value reads the input maps and writes only out[cell]
-	for cell, p := range prices {
-		buf = space.NeighborsAppend(cell, buf[:0])
-		_, recompute := dirty[cell]
-		if !recompute {
-			for _, nb := range buf {
-				if _, d := dirty[nb]; d {
-					recompute = true
-					break
-				}
-			}
-		}
-		if !recompute {
-			out[cell] = prevSmoothed[cell]
-			continue
-		}
-		sum, n := 0.0, 0
-		for _, nb := range buf {
-			if np, ok := prices[nb]; ok {
-				sum += np
-				n++
-			}
-		}
-		if n == 0 {
-			out[cell] = p
-			continue
-		}
-		out[cell] = (1-w)*p + w*sum/float64(n)
+	return (1-w)*p + w*sum/float64(n), buf
+}
+
+// priceOf reads a cell's price, 0 for cells past the end of the vector.
+func priceOf(prices []float64, cell int) float64 {
+	if cell < len(prices) {
+		return prices[cell]
 	}
-	return out
+	return 0
 }
 
 // PriceGap measures the maximum absolute price difference between any two
 // neighboring priced cells — the quantity smoothing is meant to shrink.
-func PriceGap(space spatial.Space, prices map[int]float64) float64 {
+func PriceGap(space spatial.Space, prices []float64) float64 {
 	gap := 0.0
 	var buf []int
-	//lint:ordered max accumulation commutes across visit orders
 	for cell, p := range prices {
+		if p <= 0 {
+			continue
+		}
 		buf = space.NeighborsAppend(cell, buf[:0])
 		for _, nb := range buf {
-			if np, ok := prices[nb]; ok {
-				if d := p - np; d > gap {
-					gap = d
-				} else if -d > gap {
-					gap = -d
-				}
+			if np := priceOf(prices, nb); np > 0 {
+				gap = max(gap, p-np, np-p)
 			}
 		}
 	}

@@ -10,10 +10,10 @@ import (
 
 func TestSmoothPricesReducesGap(t *testing.T) {
 	grid := geo.SquareGrid(30, 3)
-	prices := map[int]float64{
-		0: 1, 1: 1, 2: 1,
-		3: 1, 4: 5, 5: 1, // spike in the middle
-		6: 1, 7: 1, 8: 1,
+	prices := []float64{
+		1, 1, 1,
+		1, 5, 1, // spike in the middle
+		1, 1, 1,
 	}
 	before := PriceGap(grid, prices)
 	smoothed := SmoothPrices(grid, prices, 0.5)
@@ -36,23 +36,28 @@ func TestSmoothPricesReducesGap(t *testing.T) {
 func TestSmoothPricesEdgeCases(t *testing.T) {
 	grid := geo.SquareGrid(30, 3)
 	// w = 0: identity.
-	prices := map[int]float64{0: 2, 4: 3}
+	prices := []float64{0: 2, 4: 3, 8: 0}
 	out := SmoothPrices(grid, prices, 0)
 	if out[0] != 2 || out[4] != 3 {
 		t.Error("w=0 must be the identity")
 	}
-	// Isolated cell (no priced neighbors): unchanged.
-	out = SmoothPrices(grid, map[int]float64{0: 2.5}, 0.8)
-	if out[0] != 2.5 {
-		t.Errorf("isolated cell changed to %v", out[0])
+	// Isolated cell (no priced neighbors): unchanged; unpriced cells stay 0.
+	out = SmoothPrices(grid, []float64{0: 2.5, 8: 0}, 0.8)
+	if out[0] != 2.5 || out[1] != 0 {
+		t.Errorf("isolated cell changed to %v (neighbor %v)", out[0], out[1])
 	}
 	// w >= 1 is clamped, not panicking.
-	out = SmoothPrices(grid, map[int]float64{0: 2, 1: 4}, 1.5)
+	out = SmoothPrices(grid, []float64{0: 2, 1: 4, 8: 0}, 1.5)
 	if out[0] <= 2 || out[0] >= 4 {
 		t.Errorf("clamped smoothing produced %v", out[0])
 	}
-	// Input map is not mutated.
-	in := map[int]float64{0: 2, 1: 4}
+	// A vector shorter than the space: the missing cells are unpriced.
+	out = SmoothPrices(grid, []float64{2, 4}, 0.5)
+	if len(out) != 2 || out[0] != 3 || out[1] != 3 {
+		t.Errorf("short vector smoothed to %v, want [3 3]", out)
+	}
+	// Input is not mutated.
+	in := []float64{2, 4}
 	SmoothPrices(grid, in, 0.5)
 	if in[0] != 2 || in[1] != 4 {
 		t.Error("input mutated")
@@ -62,8 +67,8 @@ func TestSmoothPricesEdgeCases(t *testing.T) {
 func TestSmoothingRepeatedConvergesToConsensus(t *testing.T) {
 	grid := geo.SquareGrid(40, 4)
 	rng := rand.New(rand.NewSource(3))
-	prices := map[int]float64{}
-	for c := 0; c < grid.NumCells(); c++ {
+	prices := make([]float64, grid.NumCells())
+	for c := range prices {
 		prices[c] = 1 + 4*rng.Float64()
 	}
 	for i := 0; i < 400; i++ {

@@ -36,14 +36,6 @@ type PriceSnap struct {
 	WinRefSet  bool    `json:"win_ref_set,omitempty"`
 }
 
-// LogitSnap is one cell's logistic demand fit (LogisticDemand).
-type LogitSnap struct {
-	A  float64 `json:"a"`
-	B  float64 `json:"b"`
-	LR float64 `json:"lr"`
-	N  int     `json:"n"`
-}
-
 // CellSnapshot is the exact serialized learning state of one grid cell.
 type CellSnapshot struct {
 	Cell         int         `json:"cell"`
@@ -51,7 +43,6 @@ type CellSnapshot struct {
 	Changes      int         `json:"changes,omitempty"`
 	ChangeWindow int         `json:"change_window,omitempty"`
 	Prices       []PriceSnap `json:"prices,omitempty"`
-	Logit        *LogitSnap  `json:"logit,omitempty"`
 }
 
 // StrategyState is a strategy's complete serializable learned state: a
@@ -64,8 +55,8 @@ type StrategyState struct {
 }
 
 // StateSnapshotter is the optional Strategy extension for strategies whose
-// learned state can be captured and restored exactly. MAPS, CappedUCB, and
-// ParametricMAPS implement it; SDR and SDE are stateless and need nothing.
+// learned state can be captured and restored exactly. MAPS and CappedUCB
+// implement it; SDR and SDE are stateless and need nothing.
 // RestoreState replaces the strategy's learned state wholesale with the
 // snapshot's head and installs exactly the given cells.
 type StateSnapshotter interface {
@@ -171,13 +162,14 @@ func (h ucbHead) validate() error {
 	return nil
 }
 
-// sortedCellIDs returns the map's keys ascending (deterministic output).
-func sortedCellIDs[V any](m map[int]*V) []int {
-	out := make([]int, 0, len(m))
-	for c := range m {
-		out = append(out, c)
+// snapshot captures every touched cell, ascending by cell id.
+func (t cellTable) snapshot() []CellSnapshot {
+	var out []CellSnapshot
+	for cell, cs := range t {
+		if cs != nil {
+			out = append(out, cs.snapshotExact(cell))
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -192,17 +184,13 @@ func (m *MAPS) SnapshotState() (StrategyState, error) {
 	if err != nil {
 		return StrategyState{}, err
 	}
-	st := StrategyState{Kind: "maps", Head: head}
-	for _, c := range sortedCellIDs(m.cells) {
-		st.Cells = append(st.Cells, m.cells[c].snapshotExact(c))
-	}
-	return st, nil
+	return StrategyState{Kind: "maps", Head: head, Cells: m.cells.snapshot()}, nil
 }
 
 // checkStateKind rejects a snapshot taken under a different strategy: the
-// UCB-family heads decode interchangeably, so without this a CappedUCB or
-// maps-logit checkpoint would restore silently into plain MAPS and the
-// resumed run would diverge without a diagnostic.
+// UCB-family heads decode interchangeably, so without this a CappedUCB
+// checkpoint would restore silently into MAPS and the resumed run would
+// diverge without a diagnostic.
 func checkStateKind(st StrategyState, want string) error {
 	if st.Kind != want {
 		return fmt.Errorf("core: strategy state kind %q cannot restore into %q", st.Kind, want)
@@ -216,12 +204,6 @@ func (m *MAPS) RestoreState(st StrategyState) error {
 	if err := checkStateKind(st, "maps"); err != nil {
 		return err
 	}
-	return m.restoreUCBState(st)
-}
-
-// restoreUCBState installs the head and cells without a kind check (the
-// shared half of MAPS and ParametricMAPS restoration).
-func (m *MAPS) restoreUCBState(st StrategyState) error {
 	var head ucbHead
 	if err := json.Unmarshal(st.Head, &head); err != nil {
 		return fmt.Errorf("core: decoding MAPS state head: %w", err)
@@ -235,9 +217,9 @@ func (m *MAPS) restoreUCBState(st StrategyState) error {
 	return restoreUCBCells(st.Cells, m.CellStats)
 }
 
-// restoreUCBCells installs cell snapshots into a UCB statistics store.
-// Logit-only cells (a ParametricMAPS fit with no rung observations) are
-// skipped — the fit layer restores those.
+// restoreUCBCells installs cell snapshots into a UCB statistics store. A
+// cell with no observations carries no learned state and is skipped; its
+// statistics are created empty again on first use.
 func restoreUCBCells(cells []CellSnapshot, cellStats func(int) *CellStats) error {
 	for _, c := range cells {
 		if c.Cell < 0 {
@@ -261,15 +243,10 @@ func (c *CappedUCB) SnapshotState() (StrategyState, error) {
 	if err != nil {
 		return StrategyState{}, err
 	}
-	st := StrategyState{Kind: "cappeducb", Head: head}
-	for _, cell := range sortedCellIDs(c.cells) {
-		st.Cells = append(st.Cells, c.cells[cell].snapshotExact(cell))
-	}
-	return st, nil
+	return StrategyState{Kind: "cappeducb", Head: head, Cells: c.cells.snapshot()}, nil
 }
 
-// RestoreState implements StateSnapshotter for the CappedUCB baseline. The
-// per-period task/worker tallies are transient and restart empty.
+// RestoreState implements StateSnapshotter for the CappedUCB baseline.
 func (c *CappedUCB) RestoreState(st StrategyState) error {
 	if err := checkStateKind(st, "cappeducb"); err != nil {
 		return err
@@ -283,57 +260,7 @@ func (c *CappedUCB) RestoreState(st StrategyState) error {
 	}
 	c.basePrice = head.BasePrice
 	c.ladder = append([]float64(nil), head.Ladder...)
-	c.cells = make(map[int]*CellStats)
-	c.taskCount = make(map[int]int)
-	c.workerCount = make(map[int]int)
+	c.cells = nil
 	c.ver++ // restored state invalidates any cached price vector
-	return restoreUCBCells(st.Cells, c.cellStats)
-}
-
-// SnapshotState implements StateSnapshotter for ParametricMAPS: the
-// embedded MAPS state plus one logistic fit per cell, attached to the
-// cell's snapshot.
-func (pm *ParametricMAPS) SnapshotState() (StrategyState, error) {
-	st, err := pm.MAPS.SnapshotState()
-	if err != nil {
-		return StrategyState{}, err
-	}
-	st.Kind = "maps-logit"
-	byCell := make(map[int]int, len(st.Cells))
-	for i := range st.Cells {
-		byCell[st.Cells[i].Cell] = i
-	}
-	for _, cell := range sortedCellIDs(pm.fits) {
-		f := pm.fits[cell]
-		snap := &LogitSnap{A: f.a, B: f.b, LR: f.lr, N: f.n}
-		if i, ok := byCell[cell]; ok {
-			st.Cells[i].Logit = snap
-		} else {
-			st.Cells = append(st.Cells, CellSnapshot{Cell: cell, Logit: snap})
-		}
-	}
-	sort.Slice(st.Cells, func(i, j int) bool { return st.Cells[i].Cell < st.Cells[j].Cell })
-	return st, nil
-}
-
-// RestoreState implements StateSnapshotter for ParametricMAPS.
-func (pm *ParametricMAPS) RestoreState(st StrategyState) error {
-	if err := checkStateKind(st, "maps-logit"); err != nil {
-		return err
-	}
-	if err := pm.MAPS.restoreUCBState(st); err != nil {
-		return err
-	}
-	pm.fits = make(map[int]*LogisticDemand)
-	for _, c := range st.Cells {
-		if c.Logit == nil {
-			continue
-		}
-		l := c.Logit
-		if l.LR <= 0 || l.N < 0 {
-			return fmt.Errorf("core: cell %d has invalid logistic fit %+v", c.Cell, *l)
-		}
-		pm.fits[c.Cell] = &LogisticDemand{a: l.A, b: l.B, lr: l.LR, n: l.N}
-	}
-	return nil
+	return restoreUCBCells(st.Cells, c.CellStats)
 }

@@ -43,10 +43,6 @@ func TestSnapshotStateExactRoundTrip(t *testing.T) {
 			c, _ := NewCappedUCB(DefaultParams(), 2.2)
 			return c
 		}},
-		{"ParametricMAPS", func() StateSnapshotter {
-			pm, _ := NewParametricMAPS(DefaultParams(), 2.2)
-			return pm
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,7 +9,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"spatialcrowd/internal/geo"
 	"spatialcrowd/internal/market"
@@ -34,7 +36,17 @@ type PeriodContext struct {
 	Tasks   []TaskView      // this period's issued tasks
 	Workers []market.Worker // this period's available workers
 	Graph   *match.Graph    // bipartite graph: Tasks x Workers (range constraint)
-	Cells   map[int][]int   // cell -> task indices, sorted by distance descending
+	Cells   []CellTasks     // the cells holding tasks, ascending by cell id
+}
+
+// CellTasks is one cell's local market in a period: the indices into
+// PeriodContext.Tasks of the tasks originating in the cell, by distance
+// descending with ties in ascending index order — the order the supply
+// curve of Eq. (1) consumes them. The Tasks slices of one context share a
+// single backing array.
+type CellTasks struct {
+	Cell  int
+	Tasks []int
 }
 
 // Strategy prices one period's tasks and learns from the outcome.
@@ -50,13 +62,15 @@ type Strategy interface {
 }
 
 // GridPricer is implemented by strategies that expose their most recent
-// per-grid prices (cell -> unit price). The simulator's worker-repositioning
-// extension uses it: the paper notes that higher prices in under-supplied
-// regions "will motivate more drivers to move to these regions"
-// (Section 4.2.3, practical note (i)).
+// per-grid prices. The simulator's worker-repositioning extension uses it:
+// the paper notes that higher prices in under-supplied regions "will
+// motivate more drivers to move to these regions" (Section 4.2.3, practical
+// note (i)).
 type GridPricer interface {
-	// GridPrices returns the latest per-grid unit prices.
-	GridPrices() map[int]float64
+	// GridPrices returns the latest unit price of every cell, indexed by
+	// cell id; 0 marks a cell that was not priced (prices are at least
+	// Params.PMin > 0). The slice may be reused by the next pricing call.
+	GridPrices() []float64
 }
 
 // ProbeOracle answers base pricing's calibration probes: offer `price` to
@@ -113,7 +127,7 @@ func (p Params) Clamp(price float64) float64 {
 }
 
 // BuildContext assembles a PeriodContext from raw market data: it projects
-// tasks to TaskViews, builds the range-constraint bipartite graph, and
+// tasks to TaskViews around the given range-constraint bipartite graph and
 // groups tasks per cell of the spatial backend with distances sorted
 // descending. A geo.Grid passes directly as the space.
 func BuildContext(space spatial.Space, period int, tasks []market.Task, workers []market.Worker, graph *match.Graph) *PeriodContext {
@@ -121,65 +135,76 @@ func BuildContext(space spatial.Space, period int, tasks []market.Task, workers 
 }
 
 // ContextScratch is reusable working state for BuildContextScratch: the
-// context, its task-view array, and the per-cell grouping map survive across
+// context, its task-view array, and the per-cell grouping survive across
 // pricing windows, so a caller building one context per window allocates
 // nothing in steady state. One instance serves one goroutine; the returned
-// context is valid until the scratch's next use.
+// context is valid until the scratch's next use. The zero value is ready.
 type ContextScratch struct {
 	ctx   PeriodContext
 	views []TaskView
-	cells map[int][]int
-	used  []int   // cells grouped this window (live map keys)
-	free  [][]int // retired per-cell index slices, recycled next window
+	cells []CellTasks
+	idx   []int // the task indices every cells[i].Tasks slices
+	next  []int // per cell id: tasks counted, then the fill cursor; all zero between builds
 }
 
 // BuildContextScratch is BuildContext with caller-owned scratch state. A nil
-// scratch allocates fresh state (exactly BuildContext). Grouping content is
-// identical either way; only map identity differs.
+// scratch allocates fresh state (exactly BuildContext).
+//
+// The grouping is a stable counting sort of the task indices by cell: count
+// per cell, lay the touched cells out in ascending order, scatter the
+// indices in task order, then sort each cell's run by distance (stably, so
+// ties stay in index order).
 func BuildContextScratch(space spatial.Space, period int, tasks []market.Task, workers []market.Worker, graph *match.Graph, sc *ContextScratch) *PeriodContext {
 	if sc == nil {
 		sc = &ContextScratch{}
 	}
-	if cap(sc.views) >= len(tasks) {
-		sc.views = sc.views[:len(tasks)]
-	} else {
-		sc.views = make([]TaskView, len(tasks))
+	views := resize(sc.views, len(tasks))
+	idx := resize(sc.idx, len(tasks))
+	if len(sc.next) != space.NumCells() {
+		sc.next = make([]int, space.NumCells())
 	}
-	if sc.cells == nil {
-		sc.cells = make(map[int][]int)
-	}
-	// Strategies iterate ctx.Cells, so stale keys must truly leave the map;
-	// their index slices are parked on a free list for the new grouping.
-	for _, c := range sc.used {
-		sc.free = append(sc.free, sc.cells[c][:0])
-		delete(sc.cells, c)
-	}
-	sc.used = sc.used[:0]
-	views, cells := sc.views, sc.cells
+	next, cells := sc.next, sc.cells[:0]
 	for i, t := range tasks {
 		cell := space.CellOf(t.Origin)
 		views[i] = TaskView{
 			ID: t.ID, Origin: t.Origin, Dest: t.Dest,
 			Distance: t.Distance, Cell: cell,
 		}
-		idx, ok := cells[cell]
-		if !ok {
-			sc.used = append(sc.used, cell)
-			if n := len(sc.free); n > 0 {
-				idx = sc.free[n-1]
-				sc.free = sc.free[:n-1]
-			}
+		if next[cell] == 0 {
+			cells = append(cells, CellTasks{Cell: cell})
 		}
-		cells[cell] = append(idx, i)
+		next[cell]++
 	}
-	for _, c := range sc.used {
-		sortByDistanceDesc(views, cells[c])
+	slices.SortFunc(cells, func(a, b CellTasks) int { return cmp.Compare(a.Cell, b.Cell) })
+	start := 0
+	for i := range cells {
+		c := &cells[i]
+		n := next[c.Cell]
+		c.Tasks = idx[start : start+n : start+n]
+		next[c.Cell] = start
+		start += n
 	}
+	for i := range views {
+		c := views[i].Cell
+		idx[next[c]] = i
+		next[c]++
+	}
+	for _, c := range cells {
+		sortByDistanceDesc(views, c.Tasks)
+		next[c.Cell] = 0
+	}
+	sc.views, sc.idx, sc.cells = views, idx, cells
 	sc.ctx = PeriodContext{
 		Period: period, Space: space, Tasks: views, Workers: workers,
 		Graph: graph, Cells: cells,
 	}
 	return &sc.ctx
+}
+
+// resize returns p with length n, reusing its capacity; contents are
+// unspecified.
+func resize[T any](p []T, n int) []T {
+	return slices.Grow(p[:0], n)[:n]
 }
 
 // sortByDistanceDesc sorts idx (task indices) by views' distance descending;

@@ -270,6 +270,17 @@ func (e *Engine) Restore(r io.Reader) (err error) {
 	if f.Cells != e.space.NumCells() {
 		return fmt.Errorf("engine: checkpoint has %d cells, engine space has %d", f.Cells, e.space.NumCells())
 	}
+	// Strategies keep per-cell state in arrays indexed by cell id, so an id
+	// outside the space would become an allocation as large as the id.
+	for i := range f.ShardStates {
+		if st := f.ShardStates[i].Strategy; st != nil {
+			for _, c := range st.Cells {
+				if c.Cell < 0 || c.Cell >= f.Cells {
+					return fmt.Errorf("engine: checkpoint strategy state has cell %d, engine space has %d cells", c.Cell, f.Cells)
+				}
+			}
+		}
+	}
 	if len(f.ShardStates) != maxInt(f.Shards, 1) {
 		return fmt.Errorf("engine: checkpoint has %d shard states for %d shards", len(f.ShardStates), f.Shards)
 	}

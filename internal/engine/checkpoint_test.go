@@ -369,9 +369,12 @@ func TestRestoreStateKindMismatch(t *testing.T) {
 	if err := c.RestoreState(st); err == nil {
 		t.Fatal("MAPS state restored into CappedUCB")
 	}
-	pm, _ := core.NewParametricMAPS(core.DefaultParams(), 2)
-	if err := pm.RestoreState(st); err == nil {
-		t.Fatal("MAPS state restored into ParametricMAPS")
+	c.CellStats(0).Seed(2, 10, 5)
+	if st, err = c.SnapshotState(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(st); err == nil {
+		t.Fatal("CappedUCB state restored into MAPS")
 	}
 }
 

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -97,6 +98,19 @@ func TestRestoreCorruptionMatrix(t *testing.T) {
 				err := restoreNoPanic(t, shards, in, mut)
 				if err == nil || !strings.Contains(err.Error(), "version") {
 					t.Fatalf("want a version error, got %v", err)
+				}
+			})
+
+			t.Run("cell-out-of-range", func(t *testing.T) {
+				loc := regexp.MustCompile(`"cell":\d+`).FindIndex(ck)
+				if loc == nil {
+					t.Fatal("no strategy cell found in checkpoint")
+				}
+				mut := append(append(bytes.Clone(ck[:loc[0]]), `"cell":1000000`...), ck[loc[1]:]...)
+				err := restoreNoPanic(t, shards, in, mut)
+				cells := fmt.Sprintf("%d cells", in.Spatial().NumCells())
+				if err == nil || !strings.Contains(err.Error(), "cell 1000000") || !strings.Contains(err.Error(), cells) {
+					t.Fatalf("want an out-of-range cell error naming the cell and the space's %s, got %v", cells, err)
 				}
 			})
 

@@ -8,6 +8,7 @@ import (
 	"spatialcrowd/internal/core"
 	"spatialcrowd/internal/geo"
 	"spatialcrowd/internal/market"
+	"spatialcrowd/internal/match"
 	"spatialcrowd/internal/pworld"
 	"spatialcrowd/internal/sim"
 	"spatialcrowd/internal/stats"
@@ -104,9 +105,12 @@ func (r *Runner) AblationNoMatching() ([]AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.NoMatchingValidation = variant
 		seedFromModel(m, model, in.Grid.NumCells())
-		res, err := sim.Run(in, m, r.Sim)
+		var s core.Strategy = m
+		if variant {
+			s = independentSupply{m}
+		}
+		res, err := sim.Run(in, s, r.Sim)
 		if err != nil {
 			return nil, err
 		}
@@ -117,6 +121,24 @@ func (r *Runner) AblationNoMatching() ([]AblationResult, error) {
 		out = append(out, AblationResult{Variant: name, Revenue: res.Revenue, Note: note})
 	}
 	return out, nil
+}
+
+// independentSupply is A2's variant: MAPS pricing a context whose graph
+// gives every task a private worker. Every augmenting-path validation then
+// succeeds exactly while the grid has a task without supply, so each grid
+// may claim up to |R^tg| workers regardless of the real bipartite
+// structure, as if supply were independent across grids. The realized
+// assignment still runs on the real graph.
+type independentSupply struct{ *core.MAPS }
+
+// Prices implements core.Strategy.
+func (s independentSupply) Prices(ctx *core.PeriodContext) []float64 {
+	private := *ctx
+	private.Graph = match.NewGraph(len(ctx.Tasks), len(ctx.Tasks))
+	for i := range ctx.Tasks {
+		private.Graph.AddEdge(i, i)
+	}
+	return s.MAPS.Prices(&private)
 }
 
 // GapResult reports the A3 optimality study on one tiny instance.
@@ -352,7 +374,7 @@ func (r *Runner) AblationSmoothing() ([]AblationResult, error) {
 }
 
 // AblationParametricDemand (A6) compares the paper's nonparametric UCB
-// demand estimation against a parametric logistic fit (ParametricMAPS).
+// demand estimation against a parametric logistic fit (logitMAPS).
 // The logistic fit shares strength across prices but is biased whenever the
 // true acceptance curve is not logistic.
 func (r *Runner) AblationParametricDemand() ([]AblationResult, error) {
@@ -371,7 +393,7 @@ func (r *Runner) AblationParametricDemand() ([]AblationResult, error) {
 	}
 	ucb := strategies[0] // warm-started MAPS
 
-	logit, err := core.NewParametricMAPS(r.Sim.Params, pb)
+	logit, err := newLogitMAPS(r.Sim.Params, pb, in.Grid.NumCells())
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"spatialcrowd/internal/geo"
 	"spatialcrowd/internal/match"
@@ -33,12 +32,16 @@ func BuildBipartite(tasks []Task, workers []Worker) *match.Graph {
 // builder: the worker-by-cell buckets, the per-task candidate-cell buffer,
 // and the graph itself survive across batches, so a caller building one
 // graph per pricing window allocates nothing in steady state. One instance
-// serves one goroutine.
+// serves one goroutine; the zero value is ready.
+//
+// The buckets are compressed sparse rows over cell ids: cell c's workers are
+// workers[start[c]:start[c+1]], ascending by batch index.
 type CellIndexScratch struct {
-	graph  *match.Graph
-	byCell map[int][]int
-	used   []int // cells with a non-empty bucket this batch
-	cells  []int // candidate-cell buffer
+	graph   *match.Graph
+	start   []int // per cell id, plus one: bucket offsets into workers
+	workers []int // batch worker indices grouped by cell
+	cellOf  []int // per batch worker: its cell
+	cells   []int // candidate-cell buffer
 }
 
 // BuildBipartiteCellIndexScratch is BuildBipartite accelerated by the
@@ -69,30 +72,34 @@ func BuildBipartiteCellIndexScratch(space spatial.Space, tasks []Task, workers [
 	if len(tasks) == 0 || len(workers) == 0 {
 		return g
 	}
-	if sc.byCell == nil {
-		sc.byCell = make(map[int][]int)
-	}
-	for _, c := range sc.used {
-		sc.byCell[c] = sc.byCell[c][:0]
-	}
-	sc.used = sc.used[:0]
+	// Stable counting sort of the workers by cell: count two places up, so
+	// that after the prefix sums and the scatter start[c] is where cell c
+	// begins.
+	start := resizeZeroed(sc.start, space.NumCells()+2)
+	cellOf := resize(sc.cellOf, len(workers))
 	maxR := 0.0
 	for wi := range workers {
 		c := space.CellOf(workers[wi].Loc)
-		b := sc.byCell[c]
-		if len(b) == 0 {
-			sc.used = append(sc.used, c)
-		}
-		sc.byCell[c] = append(b, wi)
+		cellOf[wi] = c
+		start[c+2]++
 		if workers[wi].Radius > maxR {
 			maxR = workers[wi].Radius
 		}
 	}
+	for c := 2; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	byCell := resize(sc.workers, len(workers))
+	for wi, c := range cellOf {
+		byCell[start[c+1]] = wi
+		start[c+1]++
+	}
+	sc.start, sc.cellOf, sc.workers = start, cellOf, byCell
 	for ti := range tasks {
 		origin := tasks[ti].Origin
 		sc.cells = space.CellsInRangeAppend(origin, maxR, sc.cells[:0])
 		for _, cell := range sc.cells {
-			for _, wi := range sc.byCell[cell] {
+			for _, wi := range byCell[start[cell]:start[cell+1]] {
 				w := &workers[wi]
 				if origin.SqDist(w.Loc) <= w.Radius*w.Radius {
 					g.AddEdge(ti, wi)
@@ -373,28 +380,4 @@ func resizeZeroed[T any](p []T, n int) []T {
 	p = resize(p, n)
 	clear(p)
 	return p
-}
-
-// GroupByCell buckets the period's tasks into per-cell local markets, each
-// with task indices sorted by distance descending (the order Eq. (1)'s
-// supply curve consumes them). Cells without tasks are absent from the map.
-func GroupByCell(in *Instance, tasks []Task) map[int]*GridDemand {
-	out := make(map[int]*GridDemand)
-	space := in.Spatial()
-	for ti := range tasks {
-		c := space.CellOf(tasks[ti].Origin)
-		gd, ok := out[c]
-		if !ok {
-			gd = &GridDemand{Cell: c}
-			out[c] = gd
-		}
-		gd.Tasks = append(gd.Tasks, ti)
-	}
-	//lint:ordered each bucket is sorted in place; buckets are disjoint
-	for _, gd := range out {
-		sort.Slice(gd.Tasks, func(i, j int) bool {
-			return tasks[gd.Tasks[i]].Distance > tasks[gd.Tasks[j]].Distance
-		})
-	}
-	return out
 }

@@ -140,14 +140,6 @@ func (in *Instance) WorkersByStart() [][]Worker {
 	return out
 }
 
-// GridDemand describes one local market (grid cell) in one period: the tasks
-// whose origins fall in the cell, with distances sorted descending — the
-// order the supply curve of Eq. (1) consumes them.
-type GridDemand struct {
-	Cell  int
-	Tasks []int // indices into the period's task slice, sorted by Distance desc
-}
-
 // ValuationModel draws private valuations for tasks by grid cell; it is the
 // hidden demand distribution F^g of Definition 3.
 type ValuationModel interface {

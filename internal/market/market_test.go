@@ -143,27 +143,6 @@ func TestBuildBipartiteIndexedMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGroupByCellSortsByDistance(t *testing.T) {
-	grid := geo.SquareGrid(10, 1)
-	in := &Instance{Grid: grid, Periods: 1}
-	tasks := []Task{
-		{ID: 0, Origin: geo.Point{X: 1, Y: 1}, Distance: 2},
-		{ID: 1, Origin: geo.Point{X: 2, Y: 2}, Distance: 5},
-		{ID: 2, Origin: geo.Point{X: 3, Y: 3}, Distance: 3},
-	}
-	groups := GroupByCell(in, tasks)
-	if len(groups) != 1 {
-		t.Fatalf("groups = %v", groups)
-	}
-	got := groups[0].Tasks
-	want := []int{1, 2, 0} // distances 5, 3, 2
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestAssignValuations(t *testing.T) {
 	grid := geo.SquareGrid(10, 2)
 	tasks := []Task{

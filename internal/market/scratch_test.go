@@ -6,6 +6,7 @@ import (
 
 	"spatialcrowd/internal/geo"
 	"spatialcrowd/internal/match"
+	"spatialcrowd/internal/spatial"
 )
 
 // randomBatch fabricates one pricing batch's tasks and workers.
@@ -46,9 +47,32 @@ func sameGraph(t *testing.T, round int, got, want *match.Graph) {
 	}
 }
 
+// cellOrderReference builds the cell-index graph the slow way, in the order
+// the builder promises: for each task, the cells CellsInRangeAppend lists
+// for the batch's largest radius, and within each cell its workers in
+// ascending batch index.
+func cellOrderReference(space spatial.Space, tasks []Task, workers []Worker) *match.Graph {
+	g := match.NewGraph(len(tasks), len(workers))
+	maxR := 0.0
+	for _, w := range workers {
+		maxR = max(maxR, w.Radius)
+	}
+	for ti, t := range tasks {
+		for _, cell := range space.CellsInRange(t.Origin, maxR) {
+			for wi, w := range workers {
+				if space.CellOf(w.Loc) == cell && t.Origin.SqDist(w.Loc) <= w.Radius*w.Radius {
+					g.AddEdge(ti, wi)
+				}
+			}
+		}
+	}
+	return g
+}
+
 // TestCellIndexScratchMatchesFresh drives the reusable cell-index builder
 // through many batches of varying shape and pins byte-identical adjacency
-// against the allocating builder — the property deterministic replay needs.
+// against the allocating builder and against the reference enumeration
+// order — the property deterministic replay needs.
 func TestCellIndexScratchMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	grid := geo.SquareGrid(100, 8)
@@ -58,5 +82,6 @@ func TestCellIndexScratchMatchesFresh(t *testing.T) {
 		got := BuildBipartiteCellIndexScratch(grid, tasks, workers, sc)
 		want := BuildBipartiteCellIndexScratch(grid, tasks, workers, nil)
 		sameGraph(t, round, got, want)
+		sameGraph(t, round, got, cellOrderReference(grid, tasks, workers))
 	}
 }

@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"spatialcrowd/internal/core"
@@ -227,20 +228,27 @@ func Run(in *market.Instance, strat core.Strategy, cfg Config) (Result, error) {
 // A worker already in the locally best cell keeps converging to that cell's
 // center, putting it within reach of the cell's demand. Every actual
 // relocation is reported through onMove (when set) as the move of the given
-// period, so the run's mobility can be replayed elsewhere.
+// period, so the run's mobility can be replayed elsewhere. gridPrices is
+// indexed by cell id, 0 (or past the end) for an unpriced cell.
 func repositionWorkers(space spatial.Space, period int, workers []market.Worker,
-	gridPrices map[int]float64, speed float64, onMove func(market.Move)) {
-	if len(gridPrices) == 0 {
-		return
+	gridPrices []float64, speed float64, onMove func(market.Move)) {
+	if !slices.ContainsFunc(gridPrices, func(p float64) bool { return p > 0 }) {
+		return // nothing priced, no surge to follow
+	}
+	price := func(cell int) float64 {
+		if cell < len(gridPrices) {
+			return gridPrices[cell]
+		}
+		return 0
 	}
 	var buf []int // reused neighbor buffer: one walk per worker per period
 	for i := range workers {
 		w := &workers[i]
 		cur := space.CellOf(w.Loc)
-		bestCell, bestPrice := cur, gridPrices[cur]
+		bestCell, bestPrice := cur, price(cur)
 		buf = space.NeighborsAppend(cur, buf[:0])
 		for _, nb := range buf {
-			if p, ok := gridPrices[nb]; ok && p > bestPrice {
+			if p := price(nb); p > bestPrice {
 				bestCell, bestPrice = nb, p
 			}
 		}

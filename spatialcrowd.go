@@ -136,11 +136,6 @@ type (
 	SDE = core.SDE
 	// CappedUCB is the per-grid independent limited-supply pricing baseline.
 	CappedUCB = core.CappedUCB
-	// ParametricMAPS is a MAPS variant with a logistic demand fit instead of
-	// the nonparametric UCB estimator (ablation A6).
-	ParametricMAPS = core.ParametricMAPS
-	// LogisticDemand fits an acceptance curve S(p) online.
-	LogisticDemand = core.LogisticDemand
 	// ProbeOracle answers base pricing's calibration probes.
 	ProbeOracle = core.ProbeOracle
 )
@@ -211,8 +206,8 @@ func NewWindowExecutor(space Space, mode WindowGraphMode) *WindowExecutor {
 // Strategy-state snapshots (exact, for engine checkpoint/restore).
 type (
 	// StateSnapshotter is the optional Strategy extension for strategies
-	// whose learned state can be captured and restored exactly (MAPS,
-	// CappedUCB, ParametricMAPS).
+	// whose learned state can be captured and restored exactly (MAPS and
+	// CappedUCB).
 	StateSnapshotter = core.StateSnapshotter
 	// StrategyState is a strategy's complete serializable learned state.
 	StrategyState = core.StrategyState
@@ -439,21 +434,17 @@ func NewSquareGrid(side float64, n int) Grid { return geo.SquareGrid(side, n) }
 // NewGridOver builds a cols x rows grid over an arbitrary region.
 func NewGridOver(region Rect, cols, rows int) Grid { return geo.NewGrid(region, cols, rows) }
 
-// NewParametricMAPS builds the logistic-demand MAPS variant.
-func NewParametricMAPS(p Params, basePrice float64) (*ParametricMAPS, error) {
-	return core.NewParametricMAPS(p, basePrice)
-}
-
 // SmoothPrices applies one pass of spatial price smoothing across
-// neighboring cells (Section 4.2.3's practical note). Any spatial backend
-// works; a Grid passes directly.
-func SmoothPrices(space Space, prices map[int]float64, w float64) map[int]float64 {
+// neighboring cells (Section 4.2.3's practical note). prices is indexed by
+// cell id with 0 for an unpriced cell — the shape of MAPS.LastPrices. Any
+// spatial backend works; a Grid passes directly.
+func SmoothPrices(space Space, prices []float64, w float64) []float64 {
 	return core.SmoothPrices(space, prices, w)
 }
 
 // PriceGap returns the largest absolute price difference between
-// neighboring priced cells.
-func PriceGap(space Space, prices map[int]float64) float64 {
+// neighboring priced cells of a per-cell price vector (0 = unpriced).
+func PriceGap(space Space, prices []float64) float64 {
 	return core.PriceGap(space, prices)
 }
 

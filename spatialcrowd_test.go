@@ -204,18 +204,18 @@ func TestPublicBuildPeriodContextGrouping(t *testing.T) {
 	if len(ctx.Tasks) != len(tasks) || len(ctx.Workers) != len(workers) {
 		t.Fatalf("context sizes: %d tasks, %d workers", len(ctx.Tasks), len(ctx.Workers))
 	}
-	if len(ctx.Cells) != 3 {
-		t.Fatalf("cells = %v, want 3 groups", ctx.Cells)
+	if len(ctx.Cells) != 3 || ctx.Cells[0].Cell != 0 || ctx.Cells[1].Cell != 5 || ctx.Cells[2].Cell != 99 {
+		t.Fatalf("cells = %v, want groups for cells 0, 5, 99, ascending", ctx.Cells)
 	}
 	// Cell 0's tasks are ordered by distance descending: 9, 4, 2.
-	got := ctx.Cells[0]
+	got := ctx.Cells[0].Tasks
 	want := []int{1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("cell 0 order = %v, want %v", got, want)
 		}
 	}
-	for _, ti := range ctx.Cells[0] {
+	for _, ti := range got {
 		if ctx.Tasks[ti].Cell != 0 {
 			t.Fatalf("task %d attributed to cell %d, want 0", ti, ctx.Tasks[ti].Cell)
 		}
