@@ -115,7 +115,7 @@ func main() {
 	flag.StringVar(&o.ckptFile, "checkpoint-file", "serve.ckpt", "checkpoint path for -checkpoint-every and signal-triggered snapshots")
 	flag.StringVar(&o.restore, "restore", "", "restore the engine from this checkpoint and resume the replay after its last period")
 	flag.StringVar(&o.walDir, "wal-dir", "", "durable write-ahead log directory: every event is appended before it is applied and the run auto-recovers from the log (plus -restore snapshot) on restart; network mode gives each tenant <dir>/<tenant>/")
-	flag.IntVar(&o.walSync, "wal-sync", 64, "fsync the WAL after this many appends (group commit); 1 fsyncs every append")
+	flag.IntVar(&o.walSync, "wal-sync", 64, "fsync the WAL once a submitted batch leaves this many events unsynced (group commit); 1 fsyncs every batch")
 
 	flag.StringVar(&o.listen, "listen", "", "network mode: serve the dispatch HTTP API on this address (e.g. :8080) instead of replaying")
 	flag.StringVar(&o.tenants, "tenants", "city", "comma-separated tenant (city) names for -listen, one isolated engine each")

@@ -110,8 +110,9 @@ func (e *Engine) admit(evs []Event, block bool) (int, error) {
 // it short. Callers hold e.mu, so no other submitter can spend the same
 // budget or slip between a record and its application. It is the only place
 // events are appended to the WAL: log is e.wal for submitters and nil for
-// RecoverWAL, whose events are already in it. A failed append truncates the
-// chunk to what was logged, keeping log and applied stream identical.
+// RecoverWAL, whose events are already in it. The admitted prefix goes to
+// the log as one batch; a failed append truncates it to the records the log
+// holds, keeping log and applied stream identical.
 func (e *Engine) admitChunk(evs []Event, now time.Time, log *wal.Log) (int, error) {
 	if log != nil && !e.walReady {
 		return 0, errors.New("engine: WAL holds unreplayed records; run RecoverWAL before submitting")
@@ -123,12 +124,9 @@ func (e *Engine) admitChunk(evs []Event, now time.Time, log *wal.Log) (int, erro
 			n, err = max(free, 0), ErrBusy
 		}
 	}
-	if log != nil {
-		for i := range evs[:n] {
-			if _, aerr := log.Append(wal.RecEvent, encodeEvent(evs[i])); aerr != nil {
-				n, err = i, fmt.Errorf("engine: wal append: %w", aerr)
-				break
-			}
+	if log != nil && n > 0 {
+		if _, logged, aerr := log.AppendBatch(wal.RecEvent, e.encodeChunk(evs[:n])); aerr != nil {
+			n, err = logged, fmt.Errorf("%w: append: %w", ErrWAL, aerr)
 		}
 	}
 	if n > 0 {

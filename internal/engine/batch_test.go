@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"spatialcrowd/internal/core"
 	"spatialcrowd/internal/geo"
@@ -393,4 +394,46 @@ func (g *gatedPrice) Prices(ctx *core.PeriodContext) []float64 {
 		<-g.gate
 	}
 	return g.fixedPrice.Prices(ctx)
+}
+
+// TestAdmitChunkWALAllocs pins the durable ingest path: once its buffers are
+// warm, a chunk of 325 events — encoded, appended to the log as one batch
+// and applied — makes no allocation.
+func TestAdmitChunkWALAllocs(t *testing.T) {
+	log, err := wal.Open(wal.NewMemStore(), wal.Options{Sync: wal.SyncBatch, BatchAppends: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	e, err := New(Config{Grid: geo.SquareGrid(100, 10), Strategy: &fixedPrice{price: 2}, WAL: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Decisions and log-offs for unknown ids: every kind of record length,
+	// and applying them only counts them late.
+	evs := make([]Event, 325)
+	for i := range evs {
+		if i%2 == 0 {
+			evs[i] = AcceptDecision(i, i%4 == 0)
+		} else {
+			evs[i] = WorkerOffline(i)
+		}
+	}
+	now := time.Now()
+	admit := func() {
+		e.mu.Lock()
+		n, err := e.admitChunk(evs, now, log)
+		e.mu.Unlock()
+		if n != len(evs) || err != nil {
+			t.Fatalf("admitChunk admitted %d of %d: %v", n, len(evs), err)
+		}
+	}
+	admit() // size the engine's encode buffers; AllocsPerRun adds 51 more chunks
+	if allocs := testing.AllocsPerRun(50, admit); allocs != 0 {
+		t.Fatalf("steady-state admitChunk with a WAL made %.0f allocations per chunk, want 0", allocs)
+	}
+	if got, want := log.LastLSN(), uint64(52*len(evs)); got != want {
+		t.Fatalf("log holds %d records, want %d", got, want)
+	}
 }

@@ -214,7 +214,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		// snapshot would skip replaying events whose effects it lacks.
 		f.WALLSN = e.wal.LastLSN()
 		if err := e.wal.Sync(); err != nil {
-			return fmt.Errorf("engine: wal sync before checkpoint: %w", err)
+			return fmt.Errorf("%w: sync before checkpoint: %w", ErrWAL, err)
 		}
 	}
 	if err := json.NewEncoder(w).Encode(f); err != nil {
@@ -226,7 +226,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		var lsn [8]byte
 		binary.LittleEndian.PutUint64(lsn[:], f.WALLSN)
 		if _, err := e.wal.Append(wal.RecCheckpoint, lsn[:]); err != nil {
-			return fmt.Errorf("engine: wal checkpoint marker: %w", err)
+			return fmt.Errorf("%w: checkpoint marker: %w", ErrWAL, err)
 		}
 	}
 	return nil

@@ -122,6 +122,12 @@ var ErrClosed = errors.New("engine: closed")
 // internal/server turns it into 429 + Retry-After).
 var ErrBusy = errors.New("engine: ingest queue full")
 
+// ErrWAL wraps every failure of the attached write-ahead log — an append a
+// full or failing disk refused, or an fsync that did not complete. The
+// events are not the caller's fault; the log is poisoned and the engine
+// needs a restart and RecoverWAL. The store's own error stays in the chain.
+var ErrWAL = errors.New("engine: wal unavailable")
+
 // Engine is a streaming dispatch engine. Create it with New; feed it with
 // Submit; read decisions with Poll or Config.OnDecision; stop it with Close.
 // Submit must not be called concurrently with Close.
@@ -212,10 +218,14 @@ type Engine struct {
 	// replayed through RecoverWAL. batchPending counts events admitted into
 	// envelopes the router has not finished dispatching — the budget's
 	// measure of what is buffered. batchPool recycles envelope slices so a
-	// steady ingest stream allocates no per-batch memory.
+	// steady ingest stream allocates no per-batch memory. walBuf and
+	// walRecs (guarded by mu) hold a chunk's WAL payloads: its events
+	// encoded back to back, and walBuf cut into one slice per event.
 	mu           sync.Mutex
 	wal          *wal.Log
 	walReady     bool
+	walBuf       []byte
+	walRecs      [][]byte
 	batchPending atomic.Int64
 	batchPool    sync.Pool
 

@@ -21,25 +21,34 @@ import (
 	"spatialcrowd/internal/wire"
 )
 
-// encodeEvent serializes a public event into a WAL record payload using the
-// shared canonical codec (internal/wire): fixed-width little-endian with
+// encodeChunk serializes evs into WAL record payloads, one per event, using
+// the shared canonical codec (internal/wire): fixed-width little-endian with
 // floats as IEEE-754 bits, so a replayed event is bit-identical to the
 // submitted one — the property the exact-recovery guarantee rests on. The
 // same bytes are what a binary ingest frame carries, so WAL and network
-// agree on every event's one encoding.
-func encodeEvent(ev Event) []byte {
-	b, err := wire.AppendEvent(nil, ev.Wire())
-	if err != nil {
-		// Submit validated the kind before appending; internal kinds never log.
-		panic(fmt.Sprintf("engine: encodeEvent: %v", err))
+// agree on every event's one encoding. The payloads alias e.walBuf and live
+// until the next call; callers hold e.mu.
+func (e *Engine) encodeChunk(evs []Event) [][]byte {
+	buf := e.walBuf[:0]
+	for i := range evs {
+		// admit validated every kind, and Wire panics on the rest, so the
+		// codec cannot refuse one.
+		buf, _ = wire.AppendEvent(buf, evs[i].Wire())
 	}
-	return b
+	recs := e.walRecs[:0]
+	for i, off := 0, 0; i < len(evs); i++ {
+		n, _ := wire.EventLen(wire.Kind(evs[i].Kind))
+		recs = append(recs, buf[off:off+n:off+n])
+		off += n
+	}
+	e.walBuf, e.walRecs = buf, recs
+	return recs
 }
 
-// decodeEvent is encodeEvent's inverse. The wire codec validates the tag and
-// the frame length, so a corrupt record fails the replay descriptively
-// instead of reviving a malformed event; a WAL record must hold exactly one
-// event.
+// decodeEvent is encodeChunk's inverse for one record. The wire codec
+// validates the tag and the frame length, so a corrupt record fails the
+// replay descriptively instead of reviving a malformed event; a WAL record
+// must hold exactly one event.
 func decodeEvent(b []byte) (Event, error) {
 	w, n, err := wire.DecodeEvent(b)
 	if err != nil {
@@ -136,13 +145,16 @@ func (e *Engine) WALDurableLSN() uint64 {
 
 // SyncWAL forces the WAL's durable prefix up to the last append: the group
 // commit barrier the network server places before acknowledging an ingest
-// response, so "accepted" always means "survives a crash". No-op without a
-// WAL.
+// response, so "accepted" always means "survives a crash". A failure wraps
+// ErrWAL. No-op without a WAL.
 func (e *Engine) SyncWAL() error {
 	if e.wal == nil {
 		return nil
 	}
-	return e.wal.Sync()
+	if err := e.wal.Sync(); err != nil {
+		return fmt.Errorf("%w: sync: %w", ErrWAL, err)
+	}
+	return nil
 }
 
 // WALStats snapshots the attached log's gauges (zero without a WAL).

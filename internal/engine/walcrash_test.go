@@ -81,7 +81,16 @@ type walCrashSpec struct {
 	fp      wal.Failpoints
 	killAt  int // kill the store before submitting this event index (-1: never)
 	ckEvery int // checkpoint cadence in events (0: no checkpoints)
+	// chunked submits the stream through SubmitBatch in crashChunks sizes
+	// instead of one event at a time, so the fault lands inside a batched
+	// write; the harness demands that it does.
+	chunked bool
 }
+
+// crashChunks are the chunked leg's SubmitBatch sizes, cycled: single
+// events, a 97-event chunk that straddles the first 4 KiB segment rotation
+// (events 13..109), and a 251-event chunk that spans several segments.
+var crashChunks = []int{1, 2, 3, 7, 97, 13, 1, 5, 251, 61}
 
 func walCrashSpecs(n int) []walCrashSpec {
 	lose := wal.Failpoints{LoseUnsynced: true}
@@ -185,42 +194,16 @@ func runWALCrash(t *testing.T, cfg func() Config, events []Event, want Stats, sp
 		t.Fatal(err)
 	}
 
-	// The latest checkpoint, held OUTSIDE the failpoint store: it models a
-	// snapshot file already written atomically and fsynced (the server's
-	// WriteCheckpointAtomic), which a crash therefore cannot damage.
-	var ck []byte
-	crashed := -1 // event index the run died at; -1 if it reached the end
-	for i, ev := range events {
-		if i == spec.killAt {
-			fp.Kill()
-			crashed = i
-			break
-		}
-		if err := eng.Submit(ev); err != nil {
-			if !errors.Is(err, wal.ErrInjected) {
-				t.Fatalf("event %d: submit failed with a non-injected error: %v", i, err)
-			}
-			crashed = i
-			break
-		}
-		if spec.ckEvery > 0 && (i+1)%spec.ckEvery == 0 {
-			ckLSN := eng.WALLastLSN()
-			var buf bytes.Buffer
-			if err := eng.Checkpoint(&buf); err != nil {
-				if !errors.Is(err, wal.ErrInjected) {
-					t.Fatalf("event %d: checkpoint failed with a non-injected error: %v", i, err)
-				}
-				crashed = i
-				break // fault tripped by the checkpoint's own sync/marker
-			}
-			ck = buf.Bytes()
-			// Reclaim segments the snapshot now covers; recovery must work
-			// from a log whose history starts mid-stream.
-			if _, err := log.TruncateBefore(ckLSN + 1); err != nil && !errors.Is(err, wal.ErrInjected) {
-				t.Fatalf("event %d: truncate: %v", i, err)
-			}
-		}
+	// Run until the fault hits. crashed is the event index the run died at
+	// (-1 if it reached the end); ck is the latest checkpoint, held OUTSIDE
+	// the failpoint store: it models a snapshot file already written
+	// atomically and fsynced (the server's WriteCheckpointAtomic), which a
+	// crash therefore cannot damage.
+	run := runSinglyUntilCrash
+	if spec.chunked {
+		run = runChunkedUntilCrash
 	}
+	crashed, ck := run(t, eng, log, fp, events, spec)
 	fp.Kill() // idempotent: the process dies wherever the loop stopped
 	_ = eng.Close()
 
@@ -287,6 +270,138 @@ func runWALCrash(t *testing.T, cfg func() Config, events []Event, want Stats, sp
 			got.Events, got.TasksPriced, got.Accepted, got.Served, got.Batches,
 			want.Events, want.TasksPriced, want.Accepted, want.Served, want.Batches)
 	}
+}
+
+// TestWALCrashRecoveryChunked is TestWALCrashRecoveryExact's chunked leg:
+// the stream goes in through SubmitBatch in awkward sizes, so every fault
+// lands inside one batched write — a torn byte budget mid-batch, past a
+// segment rotation the same batch made, and an fsync that fails at the
+// rotation inside a batch. Recovery plus resume must still equal the
+// uninterrupted run exactly.
+func TestWALCrashRecoveryChunked(t *testing.T) {
+	for name, in := range churnBackends(t) {
+		for _, shards := range []int{0, 4} {
+			in, shards := in, shards
+			t.Run(name+modeName(shards), func(t *testing.T) {
+				if testing.Short() && name == "road" {
+					t.Skip("short mode: grid only")
+				}
+				cfg := func() Config { return ckConfig(t, in, shards, 2) }
+				ref, err := New(cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				events := streamOf(t, in, ref.Window())
+				if err := ref.SubmitBatch(events); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Close(); err != nil {
+					t.Fatal(err)
+				}
+				want := ref.Stats()
+				n := len(events)
+				for _, spec := range []walCrashSpec{
+					// The 97-event chunk starts below the first 4 KiB rotation
+					// and ends past it: the budget tears it after the rotation.
+					{name: "torn-batch-rotated", fp: wal.Failpoints{CrashAfterBytes: 5000, LoseUnsynced: true}, killAt: -1},
+					// Inside the 97-event chunk of the second cycle (events
+					// 454..550), past a rotation it made, after a checkpoint
+					// truncated the log.
+					{name: "torn-batch-ck", fp: wal.Failpoints{CrashAfterBytes: 37000, LoseUnsynced: true},
+						killAt: -1, ckEvery: n / 5},
+					// Syncs 1 and 3 close the 7- and 97-event chunks; sync 2
+					// seals the first segment in the middle of the 97.
+					{name: "sync-fault-at-rotation", fp: wal.Failpoints{FailSyncAt: 2, LoseUnsynced: true}, killAt: -1},
+				} {
+					spec := spec
+					spec.chunked = true
+					t.Run(spec.name, func(t *testing.T) {
+						runWALCrash(t, cfg, events, want, spec)
+					})
+				}
+			})
+		}
+	}
+}
+
+// runSinglyUntilCrash submits events one at a time, checkpointing every
+// spec.ckEvery events, until the injected fault or the scheduled kill stops
+// it. It returns the event index the run died at (-1 if it reached the end)
+// and the latest checkpoint.
+func runSinglyUntilCrash(t *testing.T, eng *Engine, log *wal.Log, fp *wal.FailpointStore, events []Event, spec walCrashSpec) (crashed int, ck []byte) {
+	t.Helper()
+	for i, ev := range events {
+		if i == spec.killAt {
+			fp.Kill()
+			return i, ck
+		}
+		if err := eng.Submit(ev); err != nil {
+			if !errors.Is(err, wal.ErrInjected) {
+				t.Fatalf("event %d: submit failed with a non-injected error: %v", i, err)
+			}
+			return i, ck
+		}
+		if spec.ckEvery > 0 && (i+1)%spec.ckEvery == 0 {
+			ckLSN := eng.WALLastLSN()
+			var buf bytes.Buffer
+			if err := eng.Checkpoint(&buf); err != nil {
+				if !errors.Is(err, wal.ErrInjected) {
+					t.Fatalf("event %d: checkpoint failed with a non-injected error: %v", i, err)
+				}
+				return i, ck // fault tripped by the checkpoint's own sync/marker
+			}
+			ck = buf.Bytes()
+			// Reclaim segments the snapshot now covers; recovery must work
+			// from a log whose history starts mid-stream.
+			if _, err := log.TruncateBefore(ckLSN + 1); err != nil && !errors.Is(err, wal.ErrInjected) {
+				t.Fatalf("event %d: truncate: %v", i, err)
+			}
+		}
+	}
+	return -1, ck
+}
+
+// runChunkedUntilCrash submits events in crashChunks sizes, checkpointing
+// whenever a chunk crosses a multiple of spec.ckEvery, until the injected
+// fault stops it. It returns the index of the failed chunk's last event
+// (that event can never survive: the fault tore or left unsynced a record
+// at or before it) and the latest checkpoint. It fails the test unless the
+// fault landed strictly inside a multi-event batch: the log took some of
+// the chunk's records, not all.
+func runChunkedUntilCrash(t *testing.T, eng *Engine, log *wal.Log, _ *wal.FailpointStore, events []Event, spec walCrashSpec) (crashed int, ck []byte) {
+	t.Helper()
+	for i, off := 0, 0; off < len(events); i++ {
+		end := min(off+crashChunks[i%len(crashChunks)], len(events))
+		before, segs := log.LastLSN(), log.Stats().Segments
+		if err := eng.SubmitBatch(events[off:end]); err != nil {
+			if !errors.Is(err, wal.ErrInjected) {
+				t.Fatalf("events %d..%d: submit failed with a non-injected error: %v", off, end-1, err)
+			}
+			logged := int(log.LastLSN() - before)
+			t.Logf("fault inside a %d-event batch: %d records logged, %d segment(s) opened by it",
+				end-off, logged, log.Stats().Segments-segs)
+			if logged <= 0 || logged >= end-off {
+				t.Fatalf("fault did not land strictly inside a batch: %d of %d records logged", logged, end-off)
+			}
+			return end - 1, ck
+		}
+		if spec.ckEvery > 0 && end/spec.ckEvery > off/spec.ckEvery {
+			ckLSN := eng.WALLastLSN()
+			var buf bytes.Buffer
+			if err := eng.Checkpoint(&buf); err != nil {
+				if !errors.Is(err, wal.ErrInjected) {
+					t.Fatalf("events ..%d: checkpoint failed with a non-injected error: %v", end-1, err)
+				}
+				t.Fatalf("fault hit a checkpoint after event %d, not a batch", end-1)
+			}
+			ck = buf.Bytes()
+			if _, err := log.TruncateBefore(ckLSN + 1); err != nil && !errors.Is(err, wal.ErrInjected) {
+				t.Fatalf("events ..%d: truncate: %v", end-1, err)
+			}
+		}
+		off = end
+	}
+	return -1, ck
 }
 
 // TestWALSubmitGate asserts the refusal that makes recovery safe: an engine

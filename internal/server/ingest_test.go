@@ -16,6 +16,7 @@ import (
 	"spatialcrowd/internal/geo"
 	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/server"
+	"spatialcrowd/internal/wal"
 	"spatialcrowd/internal/wire"
 )
 
@@ -43,6 +44,26 @@ func doIngest(t *testing.T, url, contentType string, body []byte) (*http.Respons
 		t.Fatalf("decoding ingest result (status %d): %v", resp.StatusCode, err)
 	}
 	return resp, res
+}
+
+// walBytes reports how many bytes the WAL records of evs occupy.
+func walBytes(t *testing.T, evs []engine.Event) int64 {
+	t.Helper()
+	log, err := wal.Open(wal.NewMemStore(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for _, ev := range evs {
+		payload, err := wire.AppendEvent(nil, ev.Wire())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(wal.RecEvent, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log.Stats().ActiveSize
 }
 
 func jsonLine(t *testing.T, ev engine.Event) []byte {
@@ -129,7 +150,10 @@ var ingestRoutes = []ingestRoute{
 // status on every entry, has accepted exactly the k-1 events before it
 // (durably, on these WAL-backed tenants), names the event the same way, and
 // a client that resumes from Accepted ends on exactly the revenue of an
-// in-process replay. A draining tenant answers 503 on every entry.
+// in-process replay. A draining tenant answers 503 on every entry. A log
+// that fails mid-chunk — the disk is full or broken, the event is sound —
+// answers 503 "wal unavailable" on every entry, with Accepted cut back to
+// exactly the events a crash cannot lose.
 func TestIngestRefusalContract(t *testing.T) {
 	in := testInstance(t, 200, 40, 4)
 	evs := streamEvents(t, in, engine.ReplayOpts{})
@@ -140,14 +164,17 @@ func TestIngestRefusalContract(t *testing.T) {
 	}
 	invalid := append([]engine.Event(nil), evs...)
 	invalid[k-1] = engine.WorkerOnline(market.Worker{ID: 9, Loc: geo.Point{X: 1, Y: 1}, Radius: 0, Duration: 3})
+	// The store's byte budget runs out a few bytes into event k's record.
+	tornAt := walBytes(t, evs[:k-1]) + 5
 
 	scenarios := []struct {
-		name    string
-		stream  []engine.Event
-		garbage int
-		gated   bool // jam the shard so the engine's budget runs out mid-stream
-		status  int
-		message string // after the "event N: " prefix; "" accepts any
+		name     string
+		stream   []engine.Event
+		garbage  int
+		gated    bool            // jam the shard so the engine's budget runs out mid-stream
+		walFault *wal.Failpoints // the tenant's log fails as scripted (LoseUnsynced set)
+		status   int
+		message  string // after the "event N: " prefix; "" accepts any
 	}{
 		{name: "malformed", stream: evs, garbage: k - 1, status: http.StatusBadRequest},
 		{name: "invalid", stream: invalid, garbage: -1, status: http.StatusBadRequest,
@@ -157,10 +184,18 @@ func TestIngestRefusalContract(t *testing.T) {
 		{name: "invalid-then-malformed", stream: invalid, garbage: k + 2, status: http.StatusBadRequest,
 			message: "worker 9 has non-positive radius 0"},
 		{name: "busy", stream: evs, garbage: -1, gated: true, status: http.StatusTooManyRequests},
+		// The append tears mid-chunk; or the append succeeds and the
+		// second fsync — an append's group commit or a response's
+		// barrier — fails.
+		{name: "wal-torn", stream: evs, garbage: -1, status: http.StatusServiceUnavailable,
+			walFault: &wal.Failpoints{CrashAfterBytes: tornAt, LoseUnsynced: true}},
+		{name: "wal-sync", stream: evs, garbage: -1, status: http.StatusServiceUnavailable,
+			walFault: &wal.Failpoints{FailSyncAt: 2, LoseUnsynced: true}},
 	}
 
 	var tenants []server.TenantConfig
 	gates := map[string]chan struct{}{}
+	walStores := map[string]*wal.MemStore{}
 	for _, sc := range scenarios {
 		for _, rt := range ingestRoutes {
 			name := sc.name + "-" + rt.name
@@ -173,8 +208,21 @@ func TestIngestRefusalContract(t *testing.T) {
 					return &gateStrategy{flatStrategy: flatStrategy{price: 1.5}, gate: gate}
 				}
 			}
-			tenants = append(tenants, server.TenantConfig{Name: name, Engine: cfg,
-				WALDir: t.TempDir(), WALSyncEvery: 64})
+			tc := server.TenantConfig{Name: name, Engine: cfg, WALDir: t.TempDir(), WALSyncEvery: 64}
+			if sc.walFault != nil {
+				// The log comes in through the engine config, so the
+				// tenant's durability barrier must reach it there.
+				mem := wal.NewMemStore()
+				fp := wal.NewFailpointStore(mem, *sc.walFault)
+				log, err := wal.Open(fp, wal.Options{Sync: wal.SyncBatch, BatchAppends: 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer log.Close()
+				walStores[name] = mem
+				tc.Engine.WAL, tc.WALDir = log, ""
+			}
+			tenants = append(tenants, tc)
 		}
 	}
 	srv, err := server.New(server.Config{BusyGrace: -1, Tenants: tenants})
@@ -206,6 +254,29 @@ func TestIngestRefusalContract(t *testing.T) {
 						t.Error("rejected counter not bumped by a 429")
 					}
 					close(gates[name])
+				} else if sc.walFault != nil {
+					// Exactly what survives a machine crash: the fsynced
+					// prefix, and nothing the client would have to re-send
+					// blind.
+					durable := tn.Engine().WALDurableLSN()
+					if res.Error != "wal unavailable" || res.Accepted >= k || uint64(res.Accepted) != durable {
+						t.Fatalf("answer %+v, want \"wal unavailable\" with the %d durable events accepted (< %d)", res, durable, k)
+					}
+					t.Logf("accepted %d of the stream, all of them durable", res.Accepted)
+					survivors, err := wal.Open(walStores[name], wal.Options{})
+					if err != nil {
+						t.Fatalf("reopening the failed log: %v", err)
+					}
+					if got := survivors.LastLSN(); got != durable {
+						t.Errorf("log holds %d records after the failure, acknowledged %d", got, durable)
+					}
+					survivors.Close()
+					// The log stays poisoned: later posts are refused whole.
+					resp, res := rt.post(t, hs.URL, name, evs[res.Accepted:], -1)
+					if resp.StatusCode != http.StatusServiceUnavailable || res.Accepted != 0 || res.Error != "wal unavailable" {
+						t.Fatalf("post after the failure: status %d %+v, want 503 wal unavailable with 0 accepted", resp.StatusCode, res)
+					}
+					return
 				} else {
 					if res.Accepted != k-1 {
 						t.Errorf("accepted %d, want the %d events before the refused one", res.Accepted, k-1)
@@ -238,6 +309,9 @@ func TestIngestRefusalContract(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	for _, tc := range tenants {
+		if walStores[tc.Name] != nil {
+			continue // a failed log ends the stream; nothing was resumed
+		}
 		tn, _ := srv.Tenant(tc.Name)
 		got := tn.Engine().Stats()
 		if got.Revenue != want.Revenue || got.Served != want.Served || got.Events != want.Events {

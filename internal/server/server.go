@@ -342,17 +342,19 @@ func (s *Server) submitBatchAdmitted(t *Tenant, evs []engine.Event) (int, error)
 
 // refuse answers an ingest request that stops at event accepted+1 — the one
 // mapping from a refusal to a status, shared by every route and codec: a
-// spent budget is 429 with Retry-After, a draining tenant 503, and anything
-// else (an undecodable or invalid event, an engine error) 400 naming the
-// event.
+// spent budget is 429 with Retry-After, a draining tenant or a failed WAL
+// 503, and anything else (an undecodable or invalid event, an engine error)
+// 400 naming the event.
 func (s *Server) refuse(w http.ResponseWriter, t *Tenant, accepted int, err error) {
 	res := IngestResult{Accepted: accepted}
-	switch err {
-	case engine.ErrBusy:
+	switch {
+	case err == engine.ErrBusy:
 		s.writeBusy(w, t, res)
-	case errDraining, engine.ErrClosed:
+	case err == errDraining || err == engine.ErrClosed:
 		res.Error = "draining"
 		s.finishIngest(w, t, http.StatusServiceUnavailable, res)
+	case errors.Is(err, engine.ErrWAL):
+		writeWALUnavailable(w, t, res)
 	default:
 		res.Error = fmt.Sprintf("event %d: %v", accepted+1, err)
 		s.finishIngest(w, t, http.StatusBadRequest, res)
@@ -361,19 +363,30 @@ func (s *Server) refuse(w http.ResponseWriter, t *Tenant, accepted int, err erro
 
 // finishIngest writes an ingest response whose Accepted count a client may
 // act on as a resume cursor — so for WAL-backed tenants it first runs the
-// group-commit barrier, downgrading to 500 if durability cannot be
-// promised. Every terminal path of the ingest handlers funnels through
-// here: an acknowledged event count is never weaker than an fsync.
+// group-commit barrier, answering 503 if durability cannot be promised.
+// Every terminal path of the ingest handlers funnels through here: an
+// acknowledged event count is never weaker than an fsync.
 func (s *Server) finishIngest(w http.ResponseWriter, t *Tenant, code int, res IngestResult) {
 	if res.Accepted > 0 {
-		if err := t.syncDurable(); err != nil {
-			res.Error = err.Error()
-			writeJSON(w, http.StatusInternalServerError, res)
+		if err := t.eng.SyncWAL(); err != nil {
+			writeWALUnavailable(w, t, res)
 			return
 		}
 		res.DurableLSN = t.durableLSN()
 	}
 	writeJSON(w, code, res)
+}
+
+// writeWALUnavailable answers 503 for a tenant whose log failed: the disk is
+// full or failing, not the request malformed. The log is poisoned until the
+// tenant restarts and recovers, and Accepted is cut back to the events of
+// this request that an fsync covered, so a client resuming from it never
+// skips an event a crash could still lose.
+func writeWALUnavailable(w http.ResponseWriter, t *Tenant, res IngestResult) {
+	res.Accepted = t.durablePrefix(res.Accepted)
+	res.Error = "wal unavailable"
+	res.DurableLSN = t.durableLSN()
+	writeJSON(w, http.StatusServiceUnavailable, res)
 }
 
 // writeBusy answers 429 with the advisory Retry-After. The Accepted count

@@ -44,9 +44,9 @@ type TenantConfig struct {
 	// (RestoreFrom, or CheckpointPath if it exists on disk) plus the WAL
 	// tail replayed past it.
 	WALDir string
-	// WALSyncEvery batches fsyncs: the log syncs after this many appends
-	// (and at every ingest acknowledgement — the group-commit barrier).
-	// <= 1 fsyncs every append.
+	// WALSyncEvery batches fsyncs: an appended chunk that leaves this many
+	// records unsynced ends with an fsync (and so does every ingest
+	// acknowledgement — the group-commit barrier). <= 1 fsyncs every chunk.
 	WALSyncEvery int
 	// WALSegmentBytes caps segment size before rotation (default 16 MiB).
 	WALSegmentBytes int64
@@ -224,32 +224,22 @@ func (t *Tenant) submitBatch(evs []engine.Event) (int, error) {
 	return n, err
 }
 
-// syncDurable is the group-commit barrier handlers place before answering
-// an ingest request that accepted events: on return every acknowledged
-// event is fsynced, so "accepted" always means "survives a crash". Nil
-// without a WAL. Concurrent requests coalesce — one fsync covers every
-// append racing with it.
-func (t *Tenant) syncDurable() error {
-	if t.wlog == nil {
-		return nil
-	}
-	if err := t.eng.SyncWAL(); err != nil {
-		return fmt.Errorf("%w: %v", errWALSync, err)
-	}
-	return nil
-}
-
 // durableLSN reports the tenant's last fsynced WAL position (0 without a
 // WAL) — the resume cursor ingest responses hand back to clients.
 func (t *Tenant) durableLSN() uint64 { return t.eng.WALDurableLSN() }
 
-var (
-	errDraining = fmt.Errorf("server: tenant draining")
-	// errWALSync marks a failed durability barrier: the engine applied the
-	// events but could not make them crash-safe. The tenant's log is
-	// poisoned (all later appends fail) — it needs a drain + recovery.
-	errWALSync = fmt.Errorf("server: wal sync failed")
-)
+// durablePrefix cuts a request's accepted count back to those of its
+// events an fsync covered. Every one of them was appended at or before the log's
+// last LSN, in stream order, and at most last-durable of them lie past the
+// durable LSN, so accepted-(last-durable) is a durable prefix — exactly the
+// durable part when no other request appended in between. Without a WAL
+// nothing is unsynced and accepted stands.
+func (t *Tenant) durablePrefix(accepted int) int {
+	st := t.eng.WALStats()
+	return max(accepted-int(st.LastLSN-st.DurableLSN), 0)
+}
+
+var errDraining = fmt.Errorf("server: tenant draining")
 
 // drain quiesces the tenant: new ingestion is refused (503), in-flight
 // submits finish, a checkpoint is written while the engine still runs (the

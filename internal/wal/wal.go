@@ -59,18 +59,18 @@ const DefaultSegmentBytes = 16 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// SyncPolicy selects when Append fsyncs.
+// SyncPolicy selects when AppendBatch fsyncs.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged record is
-	// durable, at one fsync per event.
+	// SyncAlways fsyncs before every AppendBatch (and so every Append)
+	// returns: an acknowledged record is durable, at one fsync per batch.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch is group commit: fsync every Options.BatchAppends appends
-	// (and on explicit Sync, rotation, and Close). Acknowledged-but-unsynced
-	// records can be lost to a crash; callers that promise durability call
-	// Sync at their commit points (the HTTP server syncs before every
-	// ingest response).
+	// SyncBatch is group commit: a batch that leaves Options.BatchAppends
+	// or more records unsynced ends with one fsync (and so do explicit
+	// Sync, rotation, and Close). Acknowledged-but-unsynced records can be
+	// lost to a crash; callers that promise durability call Sync at their
+	// commit points (the HTTP server syncs before every ingest response).
 	SyncBatch
 	// SyncNever fsyncs only on explicit Sync, rotation, and Close.
 	SyncNever
@@ -87,7 +87,9 @@ type Options struct {
 	BatchAppends int
 }
 
-// Record is one framed entry handed to Replay callbacks.
+// Record is one framed entry handed to Replay callbacks. Data aliases the
+// buffer its segment was read into; it stays valid after the callback
+// returns, because every segment is read into a buffer of its own.
 type Record struct {
 	LSN  uint64
 	Type byte
@@ -115,7 +117,7 @@ type segment struct {
 	recs int    // records in the segment (maintained for the active one)
 }
 
-// Log is the write-ahead log. Safe for concurrent use; Append serializes
+// Log is the write-ahead log. Safe for concurrent use; appends serialize
 // internally (the engine additionally orders appends against its ingest
 // queue so the log order is the apply order).
 type Log struct {
@@ -130,6 +132,7 @@ type Log struct {
 	pending int    // appends since the last fsync
 	failed  error  // sticky: a failed append/sync poisons the log
 	closed  bool
+	frames  []byte // AppendBatch's frame buffer, reused across calls
 }
 
 // Open scans and validates every segment in the store, truncates a torn
@@ -217,18 +220,40 @@ func isTornTail(err error) bool {
 	return errors.As(err, &t)
 }
 
-// scanSegment walks a segment's frames validating lengths, CRCs, and LSN
-// continuity. It returns the byte length and record count of the valid
-// prefix; a non-nil error is either a *tornTail (the bad frame is the last
-// thing in the file — truncatable if this is the final segment) or a
-// *CorruptError (intact data follows the bad frame, or the frame itself is
-// internally inconsistent mid-log).
+// scanSegment reads a segment in one pass and validates every frame (see
+// walkFrames). It returns the byte length and record count of the valid
+// prefix.
 func scanSegment(f File, name string, base uint64) (valid int64, recs int, err error) {
 	size, err := f.Size()
 	if err != nil {
 		return 0, 0, err
 	}
-	var hdr [headerSize]byte
+	data, err := readSegment(f, name, size)
+	if err != nil {
+		return 0, 0, err
+	}
+	return walkFrames(data, name, base, nil)
+}
+
+// readSegment reads the first size bytes of a segment with one ReadAt into
+// a buffer of their own, so records handed out of it stay valid.
+func readSegment(f File, name string, size int64) ([]byte, error) {
+	data := make([]byte, size)
+	if n, err := f.ReadAt(data, 0); n < len(data) {
+		return nil, fmt.Errorf("wal: reading %s: %d of %d bytes: %w", name, n, size, err)
+	}
+	return data, nil
+}
+
+// walkFrames walks the frames of one segment's bytes, validating lengths,
+// CRCs, and LSN continuity from base, and hands each intact record to fn
+// (when non-nil). It returns the byte length and record count of the valid
+// prefix; a non-nil error is fn's, a *tornTail (the bad frame is the last
+// thing in the segment — truncatable if this is the final one) or a
+// *CorruptError (intact data follows the bad frame, or the frame itself is
+// internally inconsistent mid-log).
+func walkFrames(data []byte, name string, base uint64, fn func(Record) error) (valid int64, recs int, err error) {
+	size := int64(len(data))
 	off := int64(0)
 	lsn := base
 	for off < size {
@@ -236,10 +261,7 @@ func scanSegment(f File, name string, base uint64) (valid int64, recs int, err e
 			return off, recs, &tornTail{&CorruptError{Segment: name, Offset: off,
 				Reason: fmt.Sprintf("truncated header: %d bytes of %d", size-off, headerSize)}}
 		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return off, recs, fmt.Errorf("wal: reading %s at %d: %w", name, off, err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+		n := int64(binary.LittleEndian.Uint32(data[off+4 : off+8]))
 		if n > MaxRecordBytes {
 			// The length field is garbage; nothing after it can be framed.
 			return off, recs, &tornTail{&CorruptError{Segment: name, Offset: off,
@@ -250,10 +272,7 @@ func scanSegment(f File, name string, base uint64) (valid int64, recs int, err e
 			return off, recs, &tornTail{&CorruptError{Segment: name, Offset: off,
 				Reason: fmt.Sprintf("truncated payload: record ends at %d, segment has %d bytes", end, size)}}
 		}
-		frame := make([]byte, headerSize+n)
-		if _, err := f.ReadAt(frame, off); err != nil {
-			return off, recs, fmt.Errorf("wal: reading %s at %d: %w", name, off, err)
-		}
+		frame := data[off:end]
 		if got, want := crc32.Checksum(frame[4:], crcTable), binary.LittleEndian.Uint32(frame[0:4]); got != want {
 			ce := &CorruptError{Segment: name, Offset: off,
 				Reason: fmt.Sprintf("CRC mismatch: computed %08x, stored %08x", got, want)}
@@ -270,6 +289,11 @@ func scanSegment(f File, name string, base uint64) (valid int64, recs int, err e
 			return off, recs, &CorruptError{Segment: name, Offset: off,
 				Reason: fmt.Sprintf("LSN %d, want %d (gap or reorder)", got, lsn)}
 		}
+		if fn != nil {
+			if err := fn(Record{LSN: lsn, Type: frame[8], Data: frame[headerSize:len(frame):len(frame)]}); err != nil {
+				return off, recs, err
+			}
+		}
 		lsn++
 		recs++
 		off = end
@@ -277,57 +301,119 @@ func scanSegment(f File, name string, base uint64) (valid int64, recs int, err e
 	return off, recs, nil
 }
 
-// Append frames one record, assigns it the next LSN, and writes it to the
-// active segment (rotating first when full), fsyncing per the policy. The
-// returned LSN is 1-based and strictly increasing by 1.
+// Append frames one record, assigns it the next LSN, and writes it: a batch
+// of one (see AppendBatch). The returned LSN is 1-based and strictly
+// increasing by 1.
 func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
-	if len(payload) > MaxRecordBytes {
-		return 0, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", len(payload), MaxRecordBytes)
+	one := [1][]byte{payload}
+	lsn, _, err := l.AppendBatch(typ, one[:])
+	if err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// AppendBatch frames every payload as a record of type typ, assigns them
+// consecutive LSNs starting at the returned first, and writes them to the
+// active segment with one Write per segment the batch touches, then applies
+// the sync policy once. Rotation cuts before exactly the record that would
+// overflow the segment, just as appending the payloads one by one would, so
+// the segment bytes do not depend on how records were batched.
+//
+// n counts the records that reached the store whole. When a write fails or
+// comes up short, n stops at the last complete frame and the log is
+// poisoned; when only the closing fsync fails, n is len(payloads) — the
+// records are in the log, just not durable — and the log is poisoned too.
+func (l *Log) AppendBatch(typ byte, payloads [][]byte) (first uint64, n int, err error) {
+	for _, p := range payloads {
+		if len(p) > MaxRecordBytes {
+			return 0, 0, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", len(p), MaxRecordBytes)
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	if l.failed != nil {
-		return 0, l.failed
+		return 0, 0, l.failed
 	}
-	lsn := l.next
-	frameLen := int64(headerSize + len(payload))
-	if l.cur == nil || (l.curSize > 0 && l.curSize+frameLen > l.opt.SegmentBytes) {
-		if err := l.rotateLocked(lsn); err != nil {
-			return 0, err
-		}
-	}
-	frame := make([]byte, frameLen)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	frame[8] = typ
-	binary.LittleEndian.PutUint64(frame[9:17], lsn)
-	copy(frame[headerSize:], payload)
-	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], crcTable))
-	if _, err := l.cur.Write(frame); err != nil {
-		// A short or failed write leaves an undefined tail; poison the log
-		// so no later append can frame past it.
-		l.failed = fmt.Errorf("wal: append failed, log needs recovery: %w", err)
-		return 0, l.failed
-	}
-	l.next++
-	l.curSize += frameLen
-	l.segs[len(l.segs)-1].recs++
-	l.pending++
-	switch l.opt.Sync {
-	case SyncAlways:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	case SyncBatch:
-		if l.pending >= l.opt.BatchAppends {
-			if err := l.syncLocked(); err != nil {
-				return 0, err
+	first = l.next
+	for n < len(payloads) {
+		if l.cur == nil || (l.curSize > 0 && l.curSize+frameLen(payloads[n]) > l.opt.SegmentBytes) {
+			if err := l.rotateLocked(l.next); err != nil {
+				return first, n, err
 			}
 		}
+		// Frame the run of records the active segment takes and write it.
+		frames, size, run := l.frames[:0], l.curSize, 0
+		for _, p := range payloads[n:] {
+			if run > 0 && size+frameLen(p) > l.opt.SegmentBytes {
+				break
+			}
+			frames = appendFrame(frames, typ, l.next+uint64(run), p)
+			size += frameLen(p)
+			run++
+		}
+		l.frames = frames
+		written, werr := l.cur.Write(frames)
+		if werr != nil {
+			// A short or failed write leaves an undefined tail; keep the
+			// whole frames before it and poison the log so no later append
+			// can frame past it.
+			whole, wholeBytes := wholeFrames(frames, written)
+			l.advanceLocked(whole, wholeBytes)
+			l.failed = fmt.Errorf("wal: append failed, log needs recovery: %w", werr)
+			return first, n + whole, l.failed
+		}
+		l.advanceLocked(run, int64(len(frames)))
+		n += run
 	}
-	return lsn, nil
+	if l.opt.Sync == SyncAlways || (l.opt.Sync == SyncBatch && l.pending >= l.opt.BatchAppends) {
+		if err := l.syncLocked(); err != nil {
+			return first, n, err
+		}
+	}
+	return first, n, nil
+}
+
+func frameLen(payload []byte) int64 { return int64(headerSize + len(payload)) }
+
+// appendFrame appends one framed record to dst (see the package comment for
+// the layout).
+func appendFrame(dst []byte, typ byte, lsn uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC, filled in below
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, typ)
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.Checksum(dst[start+4:], crcTable))
+	return dst
+}
+
+// wholeFrames counts the complete frames, and their bytes, among the first
+// written bytes of frames.
+func wholeFrames(frames []byte, written int) (recs int, size int64) {
+	off := 0
+	for off+headerSize <= written {
+		end := off + headerSize + int(binary.LittleEndian.Uint32(frames[off+4:off+8]))
+		if end > written {
+			break
+		}
+		off = end
+		recs++
+	}
+	return recs, int64(off)
+}
+
+// advanceLocked accounts recs records of size bytes written to the active
+// segment.
+func (l *Log) advanceLocked(recs int, size int64) {
+	l.next += uint64(recs)
+	l.curSize += size
+	l.segs[len(l.segs)-1].recs += recs
+	l.pending += recs
 }
 
 // rotateLocked seals the active segment (fsync + close) and starts a new
@@ -430,10 +516,15 @@ func (l *Log) Stats() Stats {
 // Replay walks every record with LSN >= from in order. It fails if records
 // in [from, LastLSN] have been truncated away — a caller asking for them
 // holds a snapshot older than the retained tail, and silently skipping
-// would lose events.
+// would lose events. Each segment is read in one pass and its frames are
+// validated again on the way, so a segment damaged since Open fails the
+// replay with a *CorruptError instead of feeding fn garbage.
 func (l *Log) Replay(from uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
 	if from < 1 {
 		from = 1
 	}
@@ -441,53 +532,49 @@ func (l *Log) Replay(from uint64, fn func(Record) error) error {
 		return fmt.Errorf("wal: records %d..%d already truncated (log starts at %d); recovery needs a newer snapshot",
 			from, l.segs[0].base-1, l.segs[0].base)
 	}
-	var hdr [headerSize]byte
+	tail := func(r Record) error {
+		if r.LSN < from {
+			return nil
+		}
+		return fn(r)
+	}
 	for i, seg := range l.segs {
-		segEnd := seg.base + uint64(seg.recs) // one past the last LSN
-		if segEnd <= from {
+		if seg.base+uint64(seg.recs) <= from {
 			continue
 		}
-		f := l.cur
-		owned := false
-		if i != len(l.segs)-1 {
-			var err error
-			if f, err = l.st.Open(seg.name); err != nil {
-				return err
-			}
-			owned = true
-		}
-		err := func() error {
-			off := int64(0)
-			for lsn := seg.base; lsn < segEnd; lsn++ {
-				if _, err := f.ReadAt(hdr[:], off); err != nil {
-					return fmt.Errorf("wal: reading %s at %d: %w", seg.name, off, err)
-				}
-				n := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-				if lsn < from {
-					off += headerSize + n
-					continue
-				}
-				data := make([]byte, n)
-				if n > 0 {
-					if _, err := f.ReadAt(data, off+headerSize); err != nil {
-						return fmt.Errorf("wal: reading %s at %d: %w", seg.name, off+headerSize, err)
-					}
-				}
-				if err := fn(Record{LSN: lsn, Type: hdr[8], Data: data}); err != nil {
-					return err
-				}
-				off += headerSize + n
-			}
-			return nil
-		}()
-		if owned {
-			f.Close()
-		}
+		data, err := l.readSegmentLocked(i)
 		if err != nil {
 			return err
 		}
+		_, recs, err := walkFrames(data, seg.name, seg.base, tail)
+		if err != nil {
+			return err
+		}
+		if recs != seg.recs {
+			return &CorruptError{Segment: seg.name, Offset: int64(len(data)),
+				Reason: fmt.Sprintf("segment holds %d records, want %d", recs, seg.recs)}
+		}
 	}
 	return nil
+}
+
+// readSegmentLocked reads segment i whole: a sealed segment from a handle
+// of its own, the active one up to the last record appended.
+func (l *Log) readSegmentLocked(i int) ([]byte, error) {
+	name := l.segs[i].name
+	if i == len(l.segs)-1 {
+		return readSegment(l.cur, name, l.curSize)
+	}
+	f, err := l.st.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	return readSegment(f, name, size)
 }
 
 // TruncateBefore reclaims whole segments every record of which has LSN

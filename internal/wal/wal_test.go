@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -521,4 +523,178 @@ func TestCheckpointMarkersSkipped(t *testing.T) {
 		t.Fatalf("replayed %d event records, want 5 (marker filtered by type)", events)
 	}
 	l.Close()
+}
+
+// segmentBytes snapshots every file of a store.
+func segmentBytes(t *testing.T, st *MemStore) map[string][]byte {
+	t.Helper()
+	names, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		f, err := st.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := f.Size()
+		b := make([]byte, size)
+		if _, err := f.ReadAt(b, 0); err != nil && size > 0 {
+			t.Fatal(err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// TestAppendBatchMatchesAppend: however a record stream is cut into batches,
+// the segments hold the same bytes as appending it one record at a time —
+// rotation cuts before the same record even when a batch spans several
+// segments.
+func TestAppendBatchMatchesAppend(t *testing.T) {
+	const n = 400
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = payload(i + 1)
+	}
+	opt := Options{SegmentBytes: 300, Sync: SyncBatch, BatchAppends: 16}
+	ref := NewMemStore()
+	l, err := Open(ref, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, n)
+	l.Close()
+	want := segmentBytes(t, ref)
+	if len(want) < 10 {
+		t.Fatalf("reference log has %d segments; rotation was not exercised", len(want))
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		st := NewMemStore()
+		l, err := Open(st, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < n; {
+			end := min(off+1+rng.Intn(60), n)
+			first, got, err := l.AppendBatch(RecEvent, payloads[off:end])
+			if err != nil || got != end-off || first != uint64(off+1) {
+				t.Fatalf("trial %d: AppendBatch(%d..%d) = first %d, %d records, %v", trial, off+1, end, first, got, err)
+			}
+			off = end
+		}
+		l.Close()
+		if got := segmentBytes(t, st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: segments differ from one-record-at-a-time appends (%d vs %d files)", trial, len(got), len(want))
+		}
+	}
+}
+
+// TestAppendBatchShortWrite: a write that tears inside a batch reports
+// exactly the whole records it wrote, poisons the log, and recovery keeps
+// those records and drops the torn one.
+func TestAppendBatchShortWrite(t *testing.T) {
+	payloads := make([][]byte, 50)
+	total := 0
+	for i := range payloads {
+		payloads[i] = payload(i + 1)
+		total += headerSize + len(payloads[i])
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		budget := 1 + rng.Intn(total-1)
+		wantWhole, size := 0, 0
+		for _, p := range payloads {
+			if size+headerSize+len(p) > budget {
+				break
+			}
+			size += headerSize + len(p)
+			wantWhole++
+		}
+		st := NewMemStore()
+		l, err := Open(NewFailpointStore(st, Failpoints{CrashAfterBytes: int64(budget)}), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := l.AppendBatch(RecEvent, payloads)
+		if !errors.Is(err, ErrInjected) || got != wantWhole {
+			t.Fatalf("budget %d: AppendBatch wrote %d whole records (err %v), want %d", budget, got, err, wantWhole)
+		}
+		if last := l.LastLSN(); last != uint64(wantWhole) {
+			t.Fatalf("budget %d: LastLSN %d after a torn batch, want %d", budget, last, wantWhole)
+		}
+		if _, _, err := l.AppendBatch(RecEvent, payloads[:1]); err == nil {
+			t.Fatalf("budget %d: append succeeded on a poisoned log", budget)
+		}
+		l2, err := Open(st, Options{})
+		if err != nil {
+			t.Fatalf("budget %d: recovery open: %v", budget, err)
+		}
+		if last := l2.LastLSN(); last != uint64(wantWhole) {
+			t.Fatalf("budget %d: recovered LastLSN %d, want %d", budget, last, wantWhole)
+		}
+		l2.Close()
+	}
+}
+
+// TestAppendBatchSyncPolicy: SyncBatch fsyncs once per batch that leaves
+// BatchAppends records unsynced, SyncAlways once per batch.
+func TestAppendBatchSyncPolicy(t *testing.T) {
+	batch := make([][]byte, 25)
+	for i := range batch {
+		batch[i] = payload(i)
+	}
+	for _, tc := range []struct {
+		opt         Options
+		wantDurable []uint64 // after each of three batches
+	}{
+		{Options{Sync: SyncBatch, BatchAppends: 64}, []uint64{0, 0, 75}},
+		{Options{Sync: SyncBatch, BatchAppends: 10}, []uint64{25, 50, 75}},
+		{Options{Sync: SyncAlways}, []uint64{25, 50, 75}},
+	} {
+		l, err := Open(NewMemStore(), tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.wantDurable {
+			if _, _, err := l.AppendBatch(RecEvent, batch); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.DurableLSN(); got != want {
+				t.Errorf("%+v: DurableLSN %d after batch %d, want %d", tc.opt, got, i+1, want)
+			}
+		}
+		l.Close()
+	}
+}
+
+// TestReplayAllocsPerSegment pins recovery's read path: Replay reads each
+// segment with one ReadAt into one buffer, so its allocations grow with the
+// segments, not the records.
+func TestReplayAllocsPerSegment(t *testing.T) {
+	l, err := Open(NewMemStore(), Options{SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 1, 600)
+	if segs := l.Stats().Segments; segs != 3 {
+		t.Fatalf("log has %d segments, want 3", segs)
+	}
+	records := 0
+	count := func(Record) error { records++; return nil }
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := l.Replay(1, count); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if records != 21*600 {
+		t.Fatalf("replayed %d records, want %d", records, 21*600)
+	}
+	if allocs > 3*2 {
+		t.Fatalf("Replay of 3 segments / 600 records made %.0f allocations, want at most 2 per segment", allocs)
+	}
 }

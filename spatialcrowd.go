@@ -262,8 +262,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 type WAL = wal.Log
 
 // OpenFileWAL opens (creating if needed) a durable on-disk WAL in dir.
-// syncEvery > 1 batches fsyncs every that many appends (call Sync for a
-// durability barrier sooner); <= 1 fsyncs every append.
+// syncEvery > 1 fsyncs once a submitted batch leaves that many events
+// unsynced (call Sync for a durability barrier sooner); <= 1 fsyncs every
+// submitted batch before it returns.
 func OpenFileWAL(dir string, syncEvery int) (*WAL, error) {
 	st, err := wal.NewFileStore(dir)
 	if err != nil {
