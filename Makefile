@@ -35,8 +35,9 @@ spatiallint:
 	$(GO) vet -vettool=$(CURDIR)/.bin/spatiallint ./...
 
 # fuzz gives the wire formats a short adversarial shake — the stats JSON
-# round trip and the binary ingest frame decoder; CI runs the same legs on
-# every push.
+# round trip, the binary ingest frame decoder and the NDJSON event scanner
+# (against encoding/json); CI runs the same legs on every push.
 fuzz:
 	$(GO) test ./internal/engine -run FuzzStatsJSONRoundTrip -fuzz FuzzStatsJSONRoundTrip -fuzztime 10s
 	$(GO) test ./internal/wire -run FuzzWireFrameRoundTrip -fuzz FuzzWireFrameRoundTrip -fuzztime 10s
+	$(GO) test ./internal/server -run FuzzWireEventJSON -fuzz FuzzWireEventJSON -fuzztime 10s

@@ -75,26 +75,15 @@ func (s *Server) checkCodec(w http.ResponseWriter, r *http.Request, t *Tenant) (
 	return codec, true
 }
 
-// countingReader counts the bytes a decoder consumed from the request body:
-// the per-codec wire-traffic gauge behind codec_ingested_bytes_total.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // ingestState is the pooled per-request state of the ingest routes: the
-// decoded engine event slice both codecs fill, and the binary codec's frame
-// reader with its payload buffer. Both are reused across requests so
-// steady-state ingest allocates nothing per event.
+// decoded engine event slice both codecs fill, the binary codec's frame
+// reader with its payload buffer, and the NDJSON scanner with its read
+// buffer. All are reused across requests so steady-state ingest allocates
+// nothing per event.
 type ingestState struct {
 	evs []engine.Event
 	fr  *wire.FrameReader
+	js  eventScanner
 }
 
 func (s *Server) getIngest() *ingestState {
@@ -106,6 +95,10 @@ func (s *Server) getIngest() *ingestState {
 
 func (s *Server) putIngest(st *ingestState) {
 	st.fr.Reset(nil)
+	st.js.r = nil
+	if len(st.js.buf) > scanBufSize {
+		st.js.buf = nil // one oversized token must not pin its buffer
+	}
 	st.evs = st.evs[:0]
 	s.ingestPool.Put(st)
 }

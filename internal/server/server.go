@@ -251,36 +251,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, single boo
 // arriving. The engine cuts what it is given into its own envelopes.
 const maxChunk = 1024
 
-// ingestJSON decodes WireEvents from body and submits them in chunks. A
-// chunk goes to the engine when it holds maxChunk events, at end of body,
-// and as soon as it ends in a Tick: a client's window of events
-// starts with the Tick that closes the previous window, and submitting that
-// Tick at once lets the close run while the rest of the body is still being
-// decoded (waiting for the whole body cost road-quoted 20 % of events_per_s;
-// see EXPERIMENTS.md, ablation 2). single stops after one event and answers
-// 202 — the /events contract.
+// ingestJSON decodes WireEvents from body with the NDJSON scanner
+// (ndjson.go) and submits them in chunks. A chunk goes to the engine when
+// it holds maxChunk events, at end of body, and as soon as it ends in a
+// Tick: a client's window of events starts with the Tick that closes the
+// previous window, and submitting that Tick at once lets the close run
+// while the rest of the body is still being decoded (waiting for the whole
+// body cost road-quoted 20 % of events_per_s; see EXPERIMENTS.md, ablation
+// 2). single stops after one event and answers 202 — the /events contract.
 func (s *Server) ingestJSON(w http.ResponseWriter, t *Tenant, body io.Reader, single bool) {
 	st := s.getIngest()
 	defer s.putIngest(st)
-	counted := &countingReader{r: body}
-	dec := json.NewDecoder(counted)
+	sc := &st.js
+	sc.reset(body)
 	accepted := 0
-	defer func() { t.noteCodecTraffic(codecJSON, accepted, counted.n) }()
+	defer func() { t.noteCodecTraffic(codecJSON, accepted, sc.n) }()
 	okStatus := http.StatusOK
 	if single {
 		okStatus = http.StatusAccepted
 	}
 	for {
-		var we WireEvent
-		err := dec.Decode(&we)
-		if err == io.EOF && !single {
-			break
-		}
-		var ev engine.Event
-		if err == nil {
-			ev, err = we.Event()
-		}
-		if err != nil {
+		st.evs = append(st.evs, engine.Event{})
+		ev := &st.evs[len(st.evs)-1]
+		if err := sc.next(ev); err != nil {
+			st.evs = st.evs[:len(st.evs)-1]
+			if err == io.EOF && !single {
+				break
+			}
 			// The events before the bad one stand: submit them first, so
 			// Accepted is the resume cursor under a 400 too.
 			if s.submitChunk(w, t, st.evs, &accepted) {
@@ -288,7 +285,6 @@ func (s *Server) ingestJSON(w http.ResponseWriter, t *Tenant, body io.Reader, si
 			}
 			return
 		}
-		st.evs = append(st.evs, ev)
 		if single {
 			break
 		}
@@ -435,54 +431,6 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleQuoteStream serves the tenant's full decision stream as SSE. A
-// consumer that falls behind its bounded buffer loses frames (counted in
-// the quote_stream_dropped metric) rather than growing server memory.
-func (s *Server) handleQuoteStream(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	fl, canFlush := w.(http.Flusher)
-	if !canFlush {
-		writeJSON(w, http.StatusNotImplemented, IngestResult{Error: "streaming unsupported by this connection"})
-		return
-	}
-	sub := t.hub.Subscribe()
-	if sub == nil {
-		writeJSON(w, http.StatusServiceUnavailable, IngestResult{Error: "draining"})
-		return
-	}
-	defer t.hub.Unsubscribe(sub)
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case d, open := <-sub.ch:
-			if !open {
-				return
-			}
-			if _, err := io.WriteString(w, "data: "); err != nil {
-				return
-			}
-			if err := enc.Encode(wireDecision(d)); err != nil { // Encode appends \n
-				return
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // handleStats serves the tenant's engine statistics in the stable JSON

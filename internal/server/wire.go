@@ -73,12 +73,10 @@ type WireEvent struct {
 // Event converts the wire form into an engine event, validating the
 // per-type required payload.
 func (w *WireEvent) Event() (engine.Event, error) {
-	switch w.Type {
-	case WireTaskArrival:
-		if w.Task == nil {
-			return engine.Event{}, fmt.Errorf(`event type %q needs a "task" payload`, w.Type)
-		}
-		t := market.Task{
+	ev := engine.Event{WorkerID: w.WorkerID, TaskID: w.TaskID, Accept: w.Accept, Period: w.Period}
+	has := payloads{task: w.Task != nil, worker: w.Worker != nil, to: w.To != nil}
+	if has.task {
+		ev.Task = market.Task{
 			ID:        w.Task.ID,
 			Period:    w.Task.Period,
 			Origin:    w.Task.Origin.point(),
@@ -86,42 +84,63 @@ func (w *WireEvent) Event() (engine.Event, error) {
 			Valuation: w.Task.Valuation,
 		}
 		if w.Task.Dest != nil {
-			t.Dest = w.Task.Dest.point()
+			ev.Task.Dest = w.Task.Dest.point()
 		}
-		return validated(engine.TaskArrival(t))
-	case WireWorkerOnline:
-		if w.Worker == nil {
-			return engine.Event{}, fmt.Errorf(`event type %q needs a "worker" payload`, w.Type)
-		}
-		wk := market.Worker{
+	}
+	if has.worker {
+		ev.Worker = market.Worker{
 			ID:       w.Worker.ID,
 			Period:   w.Worker.Period,
 			Loc:      w.Worker.Loc.point(),
 			Radius:   w.Worker.Radius,
 			Duration: w.Worker.Duration,
 		}
-		return validated(engine.WorkerOnline(wk))
-	case WireWorkerOffline:
-		return engine.WorkerOffline(w.WorkerID), nil
-	case WireWorkerMove:
-		if w.To == nil {
-			return engine.Event{}, fmt.Errorf(`event type %q needs a "to" position`, w.Type)
-		}
-		return validated(engine.WorkerMove(w.WorkerID, w.To.point()))
-	case WireDecisionReply:
-		return engine.AcceptDecision(w.TaskID, w.Accept), nil
-	case WireTick:
-		return engine.Tick(w.Period), nil
-	default:
-		return engine.Event{}, fmt.Errorf("unknown event type %q", w.Type)
 	}
-}
-
-func validated(ev engine.Event) (engine.Event, error) {
-	if err := validateEvent(&ev); err != nil {
+	if has.to {
+		ev.Loc = w.To.point()
+	}
+	if err := finish(&ev, []byte(w.Type), has); err != nil {
 		return engine.Event{}, err
 	}
 	return ev, nil
+}
+
+// payloads records which of WireEvent's pointer payloads a decoded event
+// carried; their fields travel in the engine.Event being built.
+type payloads struct{ task, worker, to bool }
+
+// finish turns the fields of one decoded wire event, gathered in ev (Task,
+// Worker, WorkerID, Loc for "to", TaskID, Accept, Period), into the engine
+// event of wire type typ, keeping the fields that type uses. It checks the
+// type's required payload and validates the result: the one conversion
+// behind WireEvent.Event and the NDJSON scanner.
+func finish(ev *engine.Event, typ []byte, has payloads) error {
+	switch string(typ) {
+	case WireTaskArrival:
+		if !has.task {
+			return fmt.Errorf(`event type %q needs a "task" payload`, WireTaskArrival)
+		}
+		*ev = engine.TaskArrival(ev.Task)
+	case WireWorkerOnline:
+		if !has.worker {
+			return fmt.Errorf(`event type %q needs a "worker" payload`, WireWorkerOnline)
+		}
+		*ev = engine.WorkerOnline(ev.Worker)
+	case WireWorkerOffline:
+		*ev = engine.WorkerOffline(ev.WorkerID)
+	case WireWorkerMove:
+		if !has.to {
+			return fmt.Errorf(`event type %q needs a "to" position`, WireWorkerMove)
+		}
+		*ev = engine.WorkerMove(ev.WorkerID, ev.Loc)
+	case WireDecisionReply:
+		*ev = engine.AcceptDecision(ev.TaskID, ev.Accept)
+	case WireTick:
+		*ev = engine.Tick(ev.Period)
+	default:
+		return fmt.Errorf("unknown event type %q", string(typ))
+	}
+	return validateEvent(ev)
 }
 
 // validateEvent is the semantic check every codec applies to a decoded
