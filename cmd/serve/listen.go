@@ -28,15 +28,13 @@ func buildServer(o *options, s *setup) (*server.Server, []string, error) {
 	scfg := server.Config{}
 	for _, name := range names {
 		tc := server.TenantConfig{
-			Name:   name,
-			Engine: engineConfig(o, s, !o.quoted),
-			Codec:  o.codec, // "" accepts both wire codecs
+			Name:        name,
+			Engine:      engineConfig(o, s, !o.quoted),
+			Codec:       o.codec, // "" accepts both wire codecs
+			RestoreFrom: o.restore,
 		}
 		if o.ckptDir != "" {
 			tc.CheckpointPath = filepath.Join(o.ckptDir, name+".ckpt")
-		}
-		if o.restore != "" {
-			tc.RestoreFrom = o.restore
 		}
 		if o.walDir != "" {
 			// Each tenant owns its log: separate directory, independent

@@ -15,7 +15,7 @@
 //	serve -strategy sdr -shards 8
 //	serve -beijing rush -duration 15
 //	serve -space road             # road-network backend: street-snapped workload
-//	serve -det                    # deterministic single-threaded mode
+//	serve -det                    # deterministic inline engine (one shard, no goroutines)
 //	serve -mobility 0.3           # synthetic worker mobility: moves + cross-shard migrations
 //	serve -requests 100000 -workers 25000
 //	serve -checkpoint-every 100   # periodic crash-safe checkpoints to -checkpoint-file
@@ -105,7 +105,7 @@ func main() {
 	flag.StringVar(&o.space, "space", "grid", "spatial backend: "+strings.Join(spaceBackends, " | "))
 	flag.IntVar(&o.shards, "shards", 0, "shard goroutines (market partitions); 0 = auto (min(GOMAXPROCS, cells), at least 1)")
 	flag.IntVar(&o.window, "window", 1, "periods per pricing batch")
-	flag.BoolVar(&o.det, "det", false, "deterministic single-threaded mode (ignores -shards)")
+	flag.BoolVar(&o.det, "det", false, "deterministic inline engine: one shard in the caller's goroutine (ignores -shards)")
 	flag.Float64Var(&o.mobility, "mobility", 0, "per-worker per-period move probability (0 disables the mobility trace)")
 	flag.Int64Var(&o.seed, "seed", 42, "workload seed")
 	flag.IntVar(&o.probes, "probes", 200, "base-pricing calibration probes per price")
@@ -142,6 +142,8 @@ func main() {
 	}
 
 	switch {
+	case o.shards < 0:
+		fatal(fmt.Errorf("-shards %d: want 0 (auto) or more; -det selects the deterministic inline engine", o.shards))
 	case o.selftest:
 		if err := runSelftest(&o); err != nil {
 			fatal(err)
@@ -190,14 +192,13 @@ func buildSetup(o *options) (*setup, error) {
 	return &setup{in: in, model: model, sp: sp, factory: factory, pb: basep.BasePrice()}, nil
 }
 
-// engineConfig assembles the engine config for the chosen shard count:
-// 0 = auto-size to GOMAXPROCS clamped to the cell count, negative (or
-// -det) = deterministic. Irregular (non-grid) spaces get the balanced
-// contiguous partitioner. The returned config's Shards is authoritative —
-// BalancedPartition may clamp below the request.
+// engineConfig assembles the engine config for -shards (0 = auto-size to
+// GOMAXPROCS clamped to the cell count) or, with -det, the inline engine.
+// Irregular (non-grid) spaces get the balanced contiguous partitioner, which
+// may clamp below the request: the returned config's Shards is authoritative.
 func engineConfig(o *options, s *setup, autoDecide bool) engine.Config {
 	nShards := o.shards
-	if o.det || nShards < 0 {
+	if o.det {
 		nShards = 0
 	} else if nShards == 0 {
 		nShards = engine.DefaultShards(s.sp.NumCells())

@@ -18,8 +18,8 @@ package engine
 //
 // events. A batch that does not fit is accepted as a prefix: the count comes
 // back alongside ErrBusy and is the caller's resume cursor (the HTTP
-// server's 429 protocol hands it to clients unchanged). Deterministic mode
-// applies inline and has no budget.
+// server's 429 protocol hands it to clients unchanged). An inline engine
+// applies in the caller's goroutine and has no budget.
 
 import (
 	"errors"
@@ -35,9 +35,9 @@ import (
 // the control plane, and pooled envelope slices stay small enough to recycle.
 const batchChunk = 1024
 
-// Submit enqueues one event, blocking through back-pressure. In
-// deterministic mode the event is processed inline before Submit returns;
-// in concurrent mode it is handed to the router.
+// Submit enqueues one event, blocking through back-pressure. An inline
+// engine processes the event before Submit returns; otherwise it is handed
+// to the router goroutine.
 func (e *Engine) Submit(ev Event) error {
 	evs := [1]Event{ev}
 	_, err := e.admit(evs[:], true)
@@ -47,8 +47,8 @@ func (e *Engine) Submit(ev Event) error {
 // TrySubmit is Submit without blocking: when the router's event budget is
 // spent it returns ErrBusy and the event is not accepted. This is the
 // admission-control seam: a caller that must not block (a network handler)
-// converts ErrBusy into back-pressure toward its own client. Deterministic
-// mode processes inline and never reports ErrBusy.
+// converts ErrBusy into back-pressure toward its own client. An inline
+// engine never reports ErrBusy.
 func (e *Engine) TrySubmit(ev Event) error {
 	evs := [1]Event{ev}
 	_, err := e.admit(evs[:], false)
@@ -119,7 +119,7 @@ func (e *Engine) admitChunk(evs []Event, now time.Time, log *wal.Log) (int, erro
 	}
 	n := min(len(evs), batchChunk)
 	var err error
-	if e.det == nil {
+	if e.in != nil {
 		if free := cap(e.in) - int(e.batchPending.Load()); free < n {
 			n, err = max(free, 0), ErrBusy
 		}
@@ -135,21 +135,22 @@ func (e *Engine) admitChunk(evs []Event, now time.Time, log *wal.Log) (int, erro
 	return n, err
 }
 
-// apply hands an admitted, non-empty chunk to the market state, in order and
-// stamped with its arrival time: inline in deterministic mode, copied into
-// one pooled envelope for the router otherwise. Callers hold e.mu and have
-// checked the budget, so fewer than cap(in) envelopes are queued and the
-// send does not wait behind other submitters. Checkpoint and Restore put
-// their control events on the same channel without e.mu; their contract
-// forbids running beside a submitter, and a caller who breaks it makes this
-// send wait for the router to take one event, nothing worse.
+// apply hands an admitted, non-empty chunk to the router, in order and
+// stamped with its arrival time: dispatched right here when the engine runs
+// inline, copied into one pooled envelope for the router goroutine
+// otherwise. Callers hold e.mu and have checked the budget, so fewer than
+// cap(in) envelopes are queued and the send does not wait behind other
+// submitters. Checkpoint and Restore put their control events on the same
+// channel without e.mu; their contract forbids running beside a submitter,
+// and a caller who breaks it makes this send wait for the router to take
+// one event, nothing worse.
 func (e *Engine) apply(evs []Event, now time.Time) {
 	n := int64(len(evs))
 	e.events.Add(n)
-	if e.det != nil {
+	if e.in == nil {
 		for _, ev := range evs {
 			ev.at = now
-			e.det.handle(ev)
+			e.dispatch(ev)
 		}
 		return
 	}

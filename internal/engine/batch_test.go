@@ -78,7 +78,15 @@ func runChunking(t *testing.T, in *market.Instance, shards int, quoted, withWAL 
 	t.Helper()
 	cfg := ckConfig(t, in, shards, 2)
 	cfg.AutoDecide = !quoted
-	run := chunkingRun{decisions: make([][]Decision, max(shards, 1))}
+	return runCapture(t, cfg, withWAL, submit, evs)
+}
+
+// runCapture submits evs to a fresh engine built from cfg and collects its
+// decisions (per shard of cfg.Partitioner), final stats and WAL segment
+// files.
+func runCapture(t *testing.T, cfg Config, withWAL bool, submit func(*Engine, []Event) error, evs []Event) chunkingRun {
+	t.Helper()
+	run := chunkingRun{decisions: make([][]Decision, max(cfg.Shards, 1))}
 	var mu sync.Mutex
 	cfg.OnDecision = func(d Decision) {
 		d.Latency = 0

@@ -6,20 +6,22 @@ package engine
 // matching), the router's lifecycle table and quote routes, every aggregate
 // counter, and each shard's strategy state (core.StateSnapshotter).
 //
-// Exactness contract: checkpointing a deterministic engine, restoring the
-// file into a fresh engine with the same configuration, and resuming the
-// identical event stream reproduces the uninterrupted run's revenue and
-// lifecycle ledger bit for bit. Sharded engines get the same guarantee for
-// a fixed event order and unchanged shard layout.
+// Exactness contract: checkpointing an engine, restoring the file into a
+// fresh engine with the same configuration, and resuming the identical
+// event stream reproduces the uninterrupted run's revenue and lifecycle
+// ledger bit for bit. An inline engine and a one-shard one share a layout,
+// so a file moves between them exactly.
 //
 // Re-sharding: a checkpoint may also be restored onto a different shard
-// count (including det -> sharded and back) as long as no quoted batch was
-// pending. Workers and open tasks are re-homed by cell under the target
-// engine's partitioner, and per-cell strategy state is merged across the
-// recorded shards and re-filtered per target shard — pricing state travels
-// with the workers of its cells. Totals are conserved; per-shard breakdowns
-// (Stats.ShardRevenue/ShardTasks) restart at zero with prior revenue
-// carried in the total.
+// count as long as no quoted batch was pending. Workers and open tasks are
+// re-homed by cell under the target engine's partitioner, and per-cell
+// strategy state is merged across the recorded shards and re-filtered per
+// target shard — pricing state travels with the workers of its cells.
+// Totals are conserved; per-shard breakdowns (Stats.ShardRevenue/ShardTasks)
+// restart at zero with prior revenue carried in the total.
+//
+// Files written while an inline engine had no router carry no worker table
+// and no quote routes; Restore rebuilds both from the shard sections.
 //
 // Not captured: decision-latency quantiles (wall-clock, meaningless across
 // a restart) and the undrained Poll queue (the consumer's business —
@@ -45,7 +47,7 @@ const checkpointVersion = 1
 // checkpointFile is the serialized engine state (JSON).
 type checkpointFile struct {
 	Version         int  `json:"version"`
-	Shards          int  `json:"shards"` // 0 = deterministic
+	Shards          int  `json:"shards"` // Config.Shards: 0 = inline, one shard state
 	Window          int  `json:"window"`
 	AutoDecide      bool `json:"auto_decide"`
 	CellIndexGraphs bool `json:"cell_index_graphs"`
@@ -182,30 +184,20 @@ type ctlShardRestore struct {
 }
 
 // Checkpoint serializes the engine's complete state to w. It must not be
-// called concurrently with Submit or Close; in concurrent mode the request
-// rides the event FIFO, so the snapshot reflects every event submitted
-// before the call and the engine continues serving afterwards.
+// called concurrently with Submit or Close; the request rides the router's
+// event FIFO, so the snapshot reflects every event submitted before the
+// call and the engine continues serving afterwards.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	var f *checkpointFile
-	if e.det != nil {
-		st, err := e.det.checkpoint()
-		if err != nil {
-			return err
-		}
-		f = e.newCheckpointFile([]shardCk{st})
-		f.RouterPeriod = e.det.lastTick
-	} else {
-		req := &ctlCheckpoint{reply: make(chan ctlCheckpointReply, 1)}
-		e.in <- Event{Kind: kindCheckpoint, ctl: req}
-		rep := <-req.reply
-		if rep.err != nil {
-			return rep.err
-		}
-		f = rep.file
+	req := &ctlCheckpoint{reply: make(chan ctlCheckpointReply, 1)}
+	e.control(Event{Kind: kindCheckpoint, ctl: req})
+	rep := <-req.reply
+	if rep.err != nil {
+		return rep.err
 	}
+	f := rep.file
 	if e.wal != nil {
 		// No Submit runs concurrently (precondition), so the log's last LSN
 		// is exactly the log position the snapshot folds in. Force it
@@ -281,13 +273,13 @@ func (e *Engine) Restore(r io.Reader) (err error) {
 			}
 		}
 	}
-	if len(f.ShardStates) != maxInt(f.Shards, 1) {
+	if len(f.ShardStates) != max(f.Shards, 1) {
 		return fmt.Errorf("engine: checkpoint has %d shard states for %d shards", len(f.ShardStates), f.Shards)
 	}
 	// Exact only when the full cell -> shard map matches: the same shard
 	// count under a different Partitioner must re-home, not install pools
 	// the new routing will never hit.
-	exact := f.Shards == len(e.shards) && f.Partition == e.partitionFingerprint()
+	exact := max(f.Shards, 1) == len(e.shards) && f.Partition == e.partitionFingerprint()
 	if !exact {
 		for i := range f.ShardStates {
 			if f.ShardStates[i].Pending != nil {
@@ -300,21 +292,10 @@ func (e *Engine) Restore(r io.Reader) (err error) {
 	// leaves it partially initialized, so it must be discarded, never
 	// retried or fed events.
 	e.restored = true
-	if e.det != nil {
-		st := &f.ShardStates[0]
-		if !exact {
-			states := e.reshard(&f)
-			st = &states[0]
-		}
-		if err := e.det.restore(st); err != nil {
-			return err
-		}
-	} else {
-		req := &ctlRestore{file: &f, exact: exact, reply: make(chan error, 1)}
-		e.in <- Event{Kind: kindRestore, ctl: req}
-		if err := <-req.reply; err != nil {
-			return err
-		}
+	req := &ctlRestore{file: &f, exact: exact, reply: make(chan error, 1)}
+	e.control(Event{Kind: kindRestore, ctl: req})
+	if err := <-req.reply; err != nil {
+		return err
 	}
 	// Counters install last, so a failed restore cannot leave the
 	// checkpoint's aggregates on an engine that holds no market state.
@@ -327,8 +308,7 @@ func (e *Engine) Restore(r io.Reader) (err error) {
 }
 
 // partitionFingerprint hashes the engine's cell -> shard assignment
-// (FNV-1a over shard indices in cell order; all zeros in deterministic
-// mode).
+// (FNV-1a over shard indices in cell order; all zeros with one shard).
 func (e *Engine) partitionFingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -336,11 +316,7 @@ func (e *Engine) partitionFingerprint() uint64 {
 	)
 	h := uint64(offset64)
 	for c, n := 0, e.space.NumCells(); c < n; c++ {
-		s := 0
-		if e.part != nil {
-			s = e.part.ShardOf(c)
-		}
-		h ^= uint64(s)
+		h ^= uint64(e.part.ShardOf(c))
 		h *= prime64
 	}
 	return h
@@ -398,12 +374,11 @@ func (e *Engine) restoreCounters(f *checkpointFile, exact bool) error {
 	return nil
 }
 
-// newCheckpointFile assembles the config and counter sections common to
-// both modes.
+// newCheckpointFile assembles the config and counter sections.
 func (e *Engine) newCheckpointFile(states []shardCk) *checkpointFile {
 	f := &checkpointFile{
 		Version:         checkpointVersion,
-		Shards:          len(e.shards),
+		Shards:          e.cfg.Shards,
 		Window:          e.cfg.Window,
 		AutoDecide:      e.cfg.AutoDecide,
 		CellIndexGraphs: e.cfg.CellIndexGraphs,
@@ -448,14 +423,14 @@ func (e *Engine) newCheckpointFile(states []shardCk) *checkpointFile {
 	return f
 }
 
-// routerCheckpoint runs in the router goroutine: barrier every shard (each
-// serializes its state and flushes its lifecycle notes), fold the notes
-// into the worker table, and serialize the router-owned routing state.
+// routerCheckpoint runs in the router: barrier every shard (each serializes
+// its state and flushes its lifecycle notes), fold the notes into the
+// worker table, and serialize the router-owned routing state.
 func (e *Engine) routerCheckpoint(req *ctlCheckpoint) {
 	states := make([]shardCk, len(e.shards))
 	for i, s := range e.shards {
 		sub := &ctlShardCheckpoint{out: &states[i], done: make(chan error, 1)}
-		s.in <- Event{Kind: kindCheckpoint, ctl: sub}
+		s.send(Event{Kind: kindCheckpoint, ctl: sub})
 		if err := <-sub.done; err != nil {
 			req.reply <- ctlCheckpointReply{err: err}
 			return
@@ -475,9 +450,9 @@ func (e *Engine) routerCheckpoint(req *ctlCheckpoint) {
 	req.reply <- ctlCheckpointReply{file: f}
 }
 
-// routerRestore runs in the router goroutine: install the routing state and
-// forward each shard its section (re-homed first when the layout changed).
-// The panic guard turns corrupt-checkpoint surprises into a Restore error
+// routerRestore runs in the router: install the routing state and forward
+// each shard its section (re-homed first when the layout changed). The
+// panic guard turns corrupt-checkpoint surprises into a Restore error
 // instead of killing the router.
 func (e *Engine) routerRestore(req *ctlRestore) {
 	defer func() {
@@ -486,7 +461,6 @@ func (e *Engine) routerRestore(req *ctlRestore) {
 		}
 	}()
 	f := req.file
-	exact := req.exact
 	e.routerPeriod = f.RouterPeriod
 	e.taskRotated = f.TaskRotated
 	e.taskShardCur = make(map[int]int, len(f.TaskRoutes))
@@ -494,7 +468,17 @@ func (e *Engine) routerRestore(req *ctlRestore) {
 	e.workers = newWorkerTable()
 
 	states := f.ShardStates
-	if exact {
+	switch {
+	case !req.exact:
+		// The recorded routes and table name the old layout's shards.
+		states = e.reshard(f)
+		e.rebuildRouterState(states, f.RouterPeriod)
+	case f.WorkerTable == nil && f.TaskRoutes == nil && f.TaskRoutesPrev == nil:
+		// Written by an inline engine that had no router. An engine that
+		// had one records state whenever a worker is pooled or a quote is
+		// answerable, so the rebuild finds nothing it would have recorded.
+		e.rebuildRouterState(states, f.RouterPeriod)
+	default:
 		for _, tr := range f.TaskRoutes {
 			e.taskShardCur[tr.Task] = tr.Shard
 		}
@@ -504,19 +488,10 @@ func (e *Engine) routerRestore(req *ctlRestore) {
 		for _, row := range f.WorkerTable {
 			e.workers.set(row.ID, workerEntry{shard: row.Shard, seen: row.Seen, state: WorkerState(row.State)})
 		}
-	} else {
-		// Re-homed layout: quote routes are unanswerable (no pendings were
-		// allowed) and the table is rebuilt from the re-homed pools.
-		states = e.reshard(f)
-		for si := range states {
-			for _, w := range states[si].Workers {
-				e.workers.set(w.ID, workerEntry{shard: si, seen: f.RouterPeriod, state: StateOnline})
-			}
-		}
 	}
 	for i, s := range e.shards {
 		sub := &ctlShardRestore{st: &states[i], done: make(chan error, 1)}
-		s.in <- Event{Kind: kindRestore, ctl: sub}
+		s.send(Event{Kind: kindRestore, ctl: sub})
 		if err := <-sub.done; err != nil {
 			req.reply <- err
 			return
@@ -526,20 +501,45 @@ func (e *Engine) routerRestore(req *ctlRestore) {
 	req.reply <- nil
 }
 
+// rebuildRouterState derives the worker table and the quote routes from
+// shard sections: a row per pooled worker, quoted-held while the shard's
+// pending batch still references it, and in quoted mode a route per pending
+// or open task. Rows are stamped with the restored router period, before
+// any note the resumed shards can emit.
+func (e *Engine) rebuildRouterState(states []shardCk, period int) {
+	for si, st := range states {
+		held := map[int]bool{}
+		if p := st.Pending; p != nil {
+			for r, w := range p.Workers {
+				held[w.ID] = !slices.Contains(p.Removed, r)
+			}
+			for _, t := range p.Tasks {
+				e.taskShardCur[t.ID] = si
+			}
+		}
+		for _, w := range st.Workers {
+			ent := workerEntry{shard: si, seen: period, state: StateOnline}
+			if held[w.ID] {
+				ent.state = StateQuotedHeld
+			}
+			e.workers.set(w.ID, ent)
+		}
+		if !e.cfg.AutoDecide {
+			for _, t := range st.OpenTasks {
+				e.taskShardCur[t.ID] = si
+			}
+		}
+	}
+}
+
 // reshard re-homes a checkpoint onto this engine's shard layout: workers
 // and open tasks move to the shard owning their cell, arrival order within
 // each target shard follows the recorded shard/pool order, and per-cell
 // strategy state is merged across the recorded shards and filtered per
 // target shard — pricing state travels with the workers of its cells.
 func (e *Engine) reshard(f *checkpointFile) []shardCk {
-	n := maxInt(len(e.shards), 1)
-	out := make([]shardCk, n)
-	ownerOf := func(cell int) int {
-		if e.part == nil {
-			return 0
-		}
-		return e.part.ShardOf(cell)
-	}
+	out := make([]shardCk, len(e.shards))
+	ownerOf := e.part.ShardOf
 	batchStart, lastTick := 0, 0
 	var parts []core.StrategyState
 	for i := range f.ShardStates {
@@ -576,9 +576,9 @@ func (e *Engine) reshard(f *checkpointFile) []shardCk {
 	return out
 }
 
-// checkpoint serializes the shard's market state (run from the shard's own
-// goroutine, or inline in deterministic mode) and flushes pending lifecycle
-// notes so the router's table is current before it is serialized.
+// checkpoint serializes the shard's market state (run wherever the shard
+// handles events) and flushes pending lifecycle notes so the router's table
+// is current before it is serialized.
 func (s *shard) checkpoint() (shardCk, error) {
 	st := shardCk{
 		BatchStart: s.batchStart,
@@ -626,8 +626,8 @@ func (s *shard) checkpoint() (shardCk, error) {
 	return st, nil
 }
 
-// restore installs a checkpointed shard section (run from the shard's own
-// goroutine, or inline in deterministic mode).
+// restore installs a checkpointed shard section (run wherever the shard
+// handles events).
 func (s *shard) restore(st *shardCk) error {
 	if len(st.Seqs) != len(st.Workers) {
 		return fmt.Errorf("engine: shard state has %d seqs for %d workers", len(st.Seqs), len(st.Workers))
@@ -764,11 +764,4 @@ func sortedKeys[V any](m map[int]V) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

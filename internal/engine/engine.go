@@ -8,20 +8,24 @@
 // single augmenting paths (match.Incremental) over a worker-index candidate
 // graph instead of recomputing a matching from scratch.
 //
-// Two modes:
+// One topology, two drivers. Every engine is a router, which owns the worker
+// lifecycle table and the quote routes, in front of max(Shards, 1) shards,
+// each owning the cells a spatial.Partitioner assigns it:
 //
-//   - Deterministic (Config.Shards == 0): Submit processes events inline in
-//     the caller's goroutine over one shard spanning every cell. With
+//   - Inline (Config.Shards == 0): no goroutines and no channels; Submit
+//     runs the router and its one shard in the caller's goroutine. With
 //     AutoDecide set it reproduces sim.Run on a replayed instance — same
 //     batch construction, same pricing contexts, and the same assignment
 //     values (match.MaxWeightByLeft is the greedy augmentation the engine
 //     performs incrementally).
-//   - Concurrent (Config.Shards >= 1): a router goroutine forwards each
-//     event to the shard owning its cell under the configured
-//     spatial.Partitioner (default: cell mod Shards, the historical
-//     assignment) and shards price their sub-markets independently — the
-//     sharding approximation: a worker serves only tasks of its own shard's
-//     cells.
+//   - Goroutines (Config.Shards >= 1): router and shards run on their own
+//     goroutines joined by bounded channels, and shards price their
+//     sub-markets independently — the sharding approximation: a worker
+//     serves only tasks of its own shard's cells.
+//
+// No count depends on how far the router's worker table lags the shards
+// (see lifecycle.go), so a ledger depends on the event stream alone, never
+// on scheduling, and an inline engine equals a one-shard one.
 //
 // With AutoDecide disabled the engine quotes prices and waits for
 // AcceptDecision events: accepting tasks are matched first-come-first-served
@@ -58,18 +62,19 @@ type Config struct {
 	// Space, when set, overrides Grid with an arbitrary spatial backend
 	// (e.g. spatial.RoadSpace); cells are the backend's cells.
 	Space spatial.Space
-	// Partitioner maps cells to shards in concurrent mode. Nil selects
+	// Partitioner maps cells to shards. Nil selects
 	// spatial.ModPartition(Shards), the engine's historical cell-mod-shards
-	// assignment. When set, Partitioner.Shards() must equal Shards.
+	// assignment. When set, Partitioner.Shards() must equal Shards. An
+	// inline engine has one shard and ignores it.
 	Partitioner spatial.Partitioner
 	// Window is how many periods one pricing batch spans (default 1 — the
 	// streaming analogue of the paper's per-period batch mode).
 	Window int
-	// Shards is the number of shard goroutines. 0 selects the deterministic
-	// single-threaded mode: Submit processes events inline and every call
+	// Shards is the number of shard goroutines. 0 runs one shard inline:
+	// Submit processes events in the caller's goroutine and every call
 	// sequence produces identical results.
 	Shards int
-	// Strategy prices batches in deterministic mode (or with Shards == 1).
+	// Strategy prices batches when there is one shard (Shards 0 or 1).
 	Strategy core.Strategy
 	// NewStrategy builds one private strategy per shard; required when
 	// Shards > 1 because strategies are not concurrency-safe.
@@ -134,17 +139,15 @@ var ErrWAL = errors.New("engine: wal unavailable")
 type Engine struct {
 	cfg   Config
 	space spatial.Space       // resolved backend (cfg.Space or cfg.Grid)
-	part  spatial.Partitioner // resolved cell -> shard map (concurrent mode)
+	part  spatial.Partitioner // resolved cell -> shard map
 
-	det        *shard // deterministic mode; nil when sharded
-	in         chan Event
-	shards     []*shard
-	routerDone chan struct{}
-	shardWG    sync.WaitGroup
+	in     chan Event // router input; nil when the engine runs inline
+	shards []*shard
+	wg     sync.WaitGroup // router and shard goroutines
 
 	// Router-owned routing state. Quoted-task entries live in a
 	// two-generation rotation (rotated every two windows, by which time
-	// their batch has certainly finalized) so unanswered quotes cannot
+	// their batch has certainly finalized) so quote routes cannot
 	// accumulate forever. Worker entries live in the lifecycle table and
 	// are erased when shards report retirements through the note mailbox,
 	// so both structures stay bounded by the live population.
@@ -154,8 +157,9 @@ type Engine struct {
 	workers       *workerTable
 	routerPeriod  int // last tick period the router broadcast
 
-	notesMu sync.Mutex
-	notes   []lifecycleNote // shard-reported pool transitions, pending application
+	notesMu    sync.Mutex
+	notes      []lifecycleNote // shard-reported pool transitions, pending application
+	notesSpare []lifecycleNote // router-owned: the last applied buffer, reused as the next
 
 	// Hot counters (atomic; bumped from shard goroutines).
 	events  atomic.Int64
@@ -172,7 +176,8 @@ type Engine struct {
 
 	// Lifecycle counters (atomic; see LifecycleStats). pooled is a gauge of
 	// workers currently in shard pools; tracked mirrors the router table
-	// size so Stats can read it without touching router-owned state.
+	// size at every tick so Stats can read it without touching router-owned
+	// state.
 	lcOnlines    atomic.Int64
 	lcDuplicates atomic.Int64
 	lcMoves      atomic.Int64
@@ -210,10 +215,10 @@ type Engine struct {
 	restoredPeriod int
 	restoredWALLSN uint64 // checkpoint's recorded WAL position (wal_lsn)
 
-	// Ingest (batch.go). mu serializes admission in every mode: budget,
+	// Ingest (batch.go). mu serializes admission with either driver: budget,
 	// WAL append and apply happen under it, so the log order is the apply
-	// order, two submitters cannot spend the same budget, and deterministic
-	// mode's inline processing is safe for concurrent callers. walReady
+	// order, two submitters cannot spend the same budget, and an inline
+	// engine's processing is safe for concurrent callers. walReady
 	// (guarded by mu) refuses submissions until a non-empty log has been
 	// replayed through RecoverWAL. batchPending counts events admitted into
 	// envelopes the router has not finished dispatching — the budget's
@@ -241,8 +246,8 @@ type Engine struct {
 	closed       atomic.Bool
 }
 
-// New validates the configuration and starts the engine (shard goroutines
-// and router in concurrent mode; nothing in deterministic mode).
+// New validates the configuration and builds the engine: a router and
+// max(Shards, 1) shards, started on their own goroutines unless Shards is 0.
 func New(cfg Config) (*Engine, error) {
 	space := cfg.Space
 	if space == nil {
@@ -257,6 +262,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = defaultBuffer
 	}
+	cfg.Shards = max(cfg.Shards, 0)
 	newStrat := cfg.NewStrategy
 	if newStrat == nil {
 		if cfg.Strategy == nil {
@@ -278,63 +284,55 @@ func New(cfg Config) (*Engine, error) {
 		e.walReady = e.wal.LastLSN() == 0
 	}
 
-	if cfg.Shards <= 0 {
-		s := newShard(0, e, newStrat(0))
-		if s.strat == nil {
-			return nil, fmt.Errorf("engine: NewStrategy(0) returned nil")
-		}
-		e.det = s
-		e.shardRevenue = make([]float64, 1)
-		e.shardTasks = make([]int64, 1)
-		e.shardCache = make([]window.CacheStats, 1)
-		e.shardStages = make([]StageStats, 1)
-		return e, nil
+	n := max(cfg.Shards, 1)
+	e.part = spatial.ModPartition(n)
+	if cfg.Partitioner != nil && cfg.Shards > 0 {
+		e.part = cfg.Partitioner
 	}
-
-	e.part = cfg.Partitioner
-	if e.part == nil {
-		e.part = spatial.ModPartition(cfg.Shards)
-	} else if e.part.Shards() != cfg.Shards {
+	if e.part.Shards() != n {
 		return nil, fmt.Errorf("engine: Partitioner built for %d shards, Config.Shards is %d",
-			e.part.Shards(), cfg.Shards)
+			e.part.Shards(), n)
 	}
 	// A partitioner answering outside [0, Shards) would index shards out of
 	// range (or silently strand cells); probe every cell once up front.
 	for c := 0; c < space.NumCells(); c++ {
-		if si := e.part.ShardOf(c); si < 0 || si >= cfg.Shards {
+		if si := e.part.ShardOf(c); si < 0 || si >= n {
 			return nil, fmt.Errorf("engine: Partitioner maps cell %d to shard %d, outside [0,%d)",
-				c, si, cfg.Shards)
+				c, si, n)
 		}
 	}
-	e.shardRevenue = make([]float64, cfg.Shards)
-	e.shardTasks = make([]int64, cfg.Shards)
-	e.shardCache = make([]window.CacheStats, cfg.Shards)
-	e.shardStages = make([]StageStats, cfg.Shards)
-	e.in = make(chan Event, cfg.Buffer)
+	e.shardRevenue = make([]float64, n)
+	e.shardTasks = make([]int64, n)
+	e.shardCache = make([]window.CacheStats, n)
+	e.shardStages = make([]StageStats, n)
 	e.taskShardCur = make(map[int]int)
 	e.taskShardPrev = make(map[int]int)
 	e.workers = newWorkerTable()
-	e.routerDone = make(chan struct{})
+	// Start below any real period so worker admissions before the first
+	// tick sort strictly earlier than any note a shard can emit (notes
+	// flush at ticks).
+	e.routerPeriod = math.MinInt
 	// Construct every shard before starting any goroutine so a failing
 	// factory cannot leak goroutines blocked on never-closed channels.
-	for i := 0; i < cfg.Shards; i++ {
+	for i := 0; i < n; i++ {
 		s := newShard(i, e, newStrat(i))
 		if s.strat == nil {
 			return nil, fmt.Errorf("engine: NewStrategy(%d) returned nil", i)
 		}
-		s.in = make(chan Event, cfg.Buffer)
 		e.shards = append(e.shards, s)
 	}
+	if cfg.Shards == 0 {
+		return e, nil
+	}
+	e.in = make(chan Event, cfg.Buffer)
+	e.wg.Add(1 + n)
 	for _, s := range e.shards {
-		e.shardWG.Add(1)
+		s.in = make(chan Event, cfg.Buffer)
 		go s.run()
 	}
 	go e.route()
 	return e, nil
 }
-
-// Shards reports the number of shard goroutines (0 in deterministic mode).
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Space reports the spatial backend the engine partitions the market with.
 func (e *Engine) Space() spatial.Space { return e.space }
@@ -345,13 +343,13 @@ func (e *Engine) Window() int { return e.cfg.Window }
 // QueueDepths is a point-in-time snapshot of the engine's bounded ingest
 // queues: the router's admitted-event budget plus every shard channel. Depth
 // counts buffered-but-unprocessed events; Capacity is the fixed buffer size
-// (Config.Buffer). All zeros in deterministic mode, where events process
-// inline and nothing queues.
+// (Config.Buffer). All zeros, Capacity included, when the engine runs
+// inline: events process in the caller's goroutine and nothing queues.
 type QueueDepths struct {
 	Router    int   // events admitted that the router has not finished dispatching
-	Shards    []int // events waiting per shard channel (nil in det mode)
+	Shards    []int // events waiting per shard channel (nil inline)
 	Capacity  int   // router event budget and per-shard channel size
-	MaxShard  int   // deepest shard queue (0 in det mode)
+	MaxShard  int   // deepest shard queue (0 inline)
 	Saturated bool  // the router budget is spent: TrySubmit would return ErrBusy
 }
 
@@ -360,7 +358,7 @@ type QueueDepths struct {
 // change before the caller acts on them) — exactly what admission control
 // and metrics need.
 func (e *Engine) QueueDepths() QueueDepths {
-	if e.det != nil {
+	if e.in == nil {
 		return QueueDepths{}
 	}
 	d := QueueDepths{
@@ -383,7 +381,7 @@ func (e *Engine) QueueDepths() QueueDepths {
 // given cell count when the operator did not choose one:
 // min(GOMAXPROCS, cells), floored at 1. A shard with no cells would idle, so
 // a space without cells (cells <= 0) gets exactly one shard on any host.
-// The deterministic mode (Shards == 0) is never selected implicitly.
+// The inline engine (Shards == 0) is never selected implicitly.
 func DefaultShards(cells int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), cells))
 }
@@ -392,11 +390,7 @@ func DefaultShards(cells int) int {
 // lifecycle table and forwards each event to the shard owning its cell.
 // Ticks broadcast.
 func (e *Engine) route() {
-	defer close(e.routerDone)
-	// Start below any real period so worker admissions before the first
-	// tick sort strictly earlier than any note a shard can emit (notes
-	// flush at ticks).
-	e.routerPeriod = math.MinInt
+	defer e.wg.Done()
 	for ev := range e.in {
 		if ev.Kind == kindBatch {
 			e.dispatchBatch(ev)
@@ -409,8 +403,18 @@ func (e *Engine) route() {
 	}
 }
 
-// dispatch forwards one event to the shard(s) owning it (router goroutine
-// only).
+// control hands the router a checkpoint or restore request: behind every
+// event submitted before it on the router's FIFO, or inline.
+func (e *Engine) control(ev Event) {
+	if e.in == nil {
+		e.dispatch(ev)
+		return
+	}
+	e.in <- ev
+}
+
+// dispatch forwards one event to the shard(s) owning it (router only: its
+// goroutine, or the submitter under e.mu when the engine runs inline).
 func (e *Engine) dispatch(ev Event) {
 	switch ev.Kind {
 	case KindTick:
@@ -419,48 +423,43 @@ func (e *Engine) dispatch(ev Event) {
 		}
 		e.pruneRoutes(ev.Period)
 		for _, s := range e.shards {
-			s.in <- ev
+			s.send(ev)
 		}
 	case KindTaskArrival:
-		si := e.shardOfCell(e.space.CellOf(ev.Task.Origin))
+		si := e.part.ShardOf(e.space.CellOf(ev.Task.Origin))
 		if !e.cfg.AutoDecide {
 			e.taskShardCur[ev.Task.ID] = si
 		}
-		e.shards[si].in <- ev
+		e.shards[si].send(ev)
 	case KindWorkerOnline:
-		si := e.shardOfCell(e.space.CellOf(ev.Worker.Loc))
-		if prev, dup := e.workers.online(ev.Worker.ID, si, e.routerPeriod); dup {
-			// Duplicate online: the worker is (still) attributed to a
-			// shard. Retire the stale copy there before admitting the
-			// fresh one, so no ghost supply survives in the old shard;
-			// a same-shard duplicate is replaced in place by the shard.
-			e.late.Add(1)
-			e.lcDuplicates.Add(1)
-			if prev.shard != si {
-				e.shards[prev.shard].in <- Event{Kind: kindEvict, WorkerID: ev.Worker.ID, at: ev.at}
-			}
+		si := e.part.ShardOf(e.space.CellOf(ev.Worker.Loc))
+		// A duplicate online attributed to another shard retires the stale
+		// copy there before the fresh one is admitted, so no ghost supply
+		// survives; a same-shard duplicate is replaced in place. The shard
+		// that still pools a copy counts the duplicate: the table cannot
+		// tell, it learns of retirements a tick or two late.
+		if prev, dup := e.workers.online(ev.Worker.ID, si, e.routerPeriod); dup && prev.shard != si {
+			e.shards[prev.shard].send(Event{Kind: kindEvict, WorkerID: ev.Worker.ID, at: ev.at})
 		}
-		e.syncTableGauges()
-		e.shards[si].in <- ev
+		e.shards[si].send(ev)
 	case KindWorkerOffline:
 		if ent, ok := e.workers.get(ev.WorkerID); ok {
 			e.workers.retire(ev.WorkerID)
-			e.syncTableGauges()
-			e.shards[ent.shard].in <- ev
+			e.shards[ent.shard].send(ev)
 		} else {
 			e.late.Add(1)
 		}
 	case KindWorkerMove:
 		e.routeMove(ev)
 	case KindAcceptDecision:
+		// A route lives until its generation rotates out; the shard holding
+		// the batch judges the reply (early, repeated, or after its batch).
 		si, ok := e.taskShardCur[ev.TaskID]
-		if ok {
-			delete(e.taskShardCur, ev.TaskID)
-		} else if si, ok = e.taskShardPrev[ev.TaskID]; ok {
-			delete(e.taskShardPrev, ev.TaskID)
+		if !ok {
+			si, ok = e.taskShardPrev[ev.TaskID]
 		}
 		if ok {
-			e.shards[si].in <- ev
+			e.shards[si].send(ev)
 		} else {
 			e.late.Add(1)
 		}
@@ -488,14 +487,14 @@ func (e *Engine) routeMove(ev Event) {
 		e.late.Add(1)
 		return
 	}
-	si := e.shardOfCell(e.space.CellOf(ev.Loc))
+	si := e.part.ShardOf(e.space.CellOf(ev.Loc))
 	if si == ent.shard {
-		e.shards[ent.shard].in <- ev
+		e.shards[ent.shard].send(ev)
 		return
 	}
 	mev := ev
 	mev.mig = &migration{reply: make(chan migrateReply, 1)}
-	e.shards[ent.shard].in <- mev
+	e.shards[ent.shard].send(mev)
 	rep := <-mev.mig.reply
 	switch {
 	case !rep.ok:
@@ -504,18 +503,15 @@ func (e *Engine) routeMove(ev Event) {
 		// worker. Drop the stale table entry rather than waiting for the
 		// note.
 		e.workers.retire(ev.WorkerID)
-		e.syncTableGauges()
 		e.late.Add(1)
 	case rep.pinned:
 		e.lcPinned.Add(1)
 	default:
 		e.workers.migrate(ev.WorkerID, si, e.routerPeriod)
 		e.lcMigrations.Add(1)
-		e.shards[si].in <- Event{Kind: kindAdmit, Worker: rep.worker, at: ev.at}
+		e.shards[si].send(Event{Kind: kindAdmit, Worker: rep.worker, at: ev.at})
 	}
 }
-
-func (e *Engine) shardOfCell(cell int) int { return e.part.ShardOf(cell) }
 
 // pruneRoutes bounds the router's maps. Quoted-task generations rotate
 // every two windows: a quote is answerable for at most two window closes
@@ -523,11 +519,11 @@ func (e *Engine) shardOfCell(cell int) int { return e.part.ShardOf(cell) }
 // previous generation by then is unanswerable and can be dropped. Pending
 // lifecycle notes (quoted-batch holds/releases, retirements the router did
 // not itself initiate — assignments and expiries) fold into the worker
-// table.
+// table, and the table's gauges are taken.
 func (e *Engine) pruneRoutes(period int) {
 	if period >= e.taskRotated+2*e.cfg.Window {
-		e.taskShardPrev = e.taskShardCur
-		e.taskShardCur = make(map[int]int)
+		e.taskShardPrev, e.taskShardCur = e.taskShardCur, e.taskShardPrev
+		clear(e.taskShardCur)
 		e.taskRotated = period
 	}
 	e.applyNotes()
@@ -535,15 +531,17 @@ func (e *Engine) pruneRoutes(period int) {
 }
 
 // applyNotes folds the pending shard-reported lifecycle notes into the
-// worker table (router goroutine only).
+// worker table (router only). The drained buffer becomes the next one, so a
+// steady flow of notes allocates nothing.
 func (e *Engine) applyNotes() {
 	e.notesMu.Lock()
 	notes := e.notes
-	e.notes = nil
+	e.notes = e.notesSpare[:0]
 	e.notesMu.Unlock()
 	for _, n := range notes {
 		e.workers.apply(n)
 	}
+	e.notesSpare = notes
 }
 
 // syncTableGauges mirrors the router table's size and held count into
@@ -551,18 +549,6 @@ func (e *Engine) applyNotes() {
 func (e *Engine) syncTableGauges() {
 	e.tracked.Store(int64(e.workers.size()))
 	e.trackedHeld.Store(int64(e.workers.heldCount()))
-}
-
-// noteLifecycle records pool transitions a shard performed so the router
-// can update the worker table. Shards call it at batch grain, not per
-// event; deterministic mode has no router and keeps no table.
-func (e *Engine) noteLifecycle(notes []lifecycleNote) {
-	if e.det != nil || len(notes) == 0 {
-		return
-	}
-	e.notesMu.Lock()
-	e.notes = append(e.notes, notes...)
-	e.notesMu.Unlock()
 }
 
 // Close drains the event stream and stops the shard goroutines, finalizing
@@ -574,12 +560,13 @@ func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	if e.det != nil {
-		e.det.finalizePending(time.Now()) //lint:detsource shutdown drain stamp feeds latency metrics only
+	if e.in == nil {
+		for _, s := range e.shards {
+			s.drain()
+		}
 	} else {
 		close(e.in)
-		<-e.routerDone
-		e.shardWG.Wait()
+		e.wg.Wait()
 	}
 	e.stoppedNanos.Store(time.Now().UnixNano()) //lint:detsource wall-clock stop time feeds elapsed/throughput metrics only
 	return nil

@@ -39,10 +39,11 @@ const (
 	// Internal kinds (Submit rejects anything above KindTick; only the
 	// router fabricates these).
 
-	// kindEvict removes a stale pool copy from a shard without lifecycle
-	// accounting: the retire-in-old-shard half of a duplicate online. A
-	// provisional assignment held by the evicted copy is repaired exactly
-	// like a worker going offline.
+	// kindEvict removes a stale pool copy from a shard: the
+	// retire-in-old-shard half of a duplicate online, counted as the
+	// duplicate only if the shard still pooled the copy. A provisional
+	// assignment held by the evicted copy is repaired exactly like a worker
+	// going offline.
 	kindEvict
 	// kindAdmit inserts a migrated worker into its new shard's pool: the
 	// admit-in-new-shard half of the cross-shard migration handshake.

@@ -14,14 +14,18 @@ package engine
 //	   └──────── retired ◀──────┴─────────────────────┘
 //	             (assigned · expired · offline)
 //
-// In concurrent mode the router owns the authoritative table (workerTable):
-// it is consulted on every WorkerOnline (duplicate detection — the ghost-
-// worker hazard), WorkerOffline, and WorkerMove (shard targeting). Shards
-// report pool transitions back at batch grain as lifecycleNotes, so the
-// table is eventually consistent within one tick; the synchronous migration
-// handshake gives the router ground truth at the one point staleness could
-// create double supply. In deterministic mode the single shard's pool is the
-// state machine and the same counters are maintained inline.
+// The router owns the worker table (workerTable), inline or on its own
+// goroutine alike: it is consulted on every WorkerOnline (which shard may
+// hold a stale copy — the ghost-worker hazard), WorkerOffline, and
+// WorkerMove (shard targeting). Shards report pool transitions back at
+// batch grain as lifecycleNotes, so the table can name a worker its shard
+// already retired, for a tick or two; the synchronous migration handshake
+// gives the router ground truth at the one point staleness could create
+// double supply. No count depends on that staleness: an event naming a
+// worker the table no longer tracks is late, and one it still tracks goes
+// to the shard, which counts it — late again if that shard already
+// retired the worker, a duplicate online only if it still pools a copy —
+// so the ledger is the same however the goroutines were scheduled.
 
 import "fmt"
 
@@ -76,11 +80,10 @@ const (
 
 // lifecycleNote is one pool transition a shard reports to the router at
 // batch grain. held/released notes bracket a quoted batch; retire notes say
-// the worker left the pool (the reason is counted at the shard, which works
-// identically in deterministic mode). Notes are stale by up to one tick, so
-// each carries enough provenance for the router to reject notes about a dead
-// incarnation of the ID: the reporting shard, and the tick period the shard
-// was processing. A note only applies while the worker is still attributed
+// the worker left the pool (the reason is counted at the shard). Notes are
+// stale by up to one tick, so each carries enough provenance for the router
+// to reject notes about a dead incarnation of the ID: the reporting shard,
+// and the tick period the shard was processing. A note only applies while the worker is still attributed
 // to that shard AND was last (re-)admitted strictly before that period — a
 // worker that retired and re-onlined in between keeps its fresh entry.
 type lifecycleNote struct {
@@ -108,10 +111,9 @@ type workerEntry struct {
 }
 
 // workerTable is the router-owned worker registry: worker ID -> owning shard
-// and lifecycle state. Only the router goroutine touches it (no locks);
-// Stats reads the size and held count through the engine's gauges. Entries
-// are deleted on retirement, so the table is bounded by the live worker
-// count.
+// and lifecycle state. Only the router touches it (no locks); Stats reads
+// the size and held count through the engine's gauges. Entries are deleted
+// on retirement, so the table is bounded by the live worker count.
 type workerTable struct {
 	m    map[int]workerEntry
 	held int // entries currently in StateQuotedHeld
@@ -139,8 +141,8 @@ func (t *workerTable) set(id int, e workerEntry) {
 }
 
 // online records id as online in shard at the router's current period,
-// returning the previous entry when the worker was already tracked (a
-// duplicate online — the caller retires the stale copy from its old shard).
+// returning the previous entry when the worker was already tracked (the
+// caller retires any stale copy from its old shard).
 func (t *workerTable) online(id, shard, period int) (workerEntry, bool) {
 	prev, dup := t.m[id]
 	t.set(id, workerEntry{shard: shard, state: StateOnline, seen: period})

@@ -13,9 +13,9 @@ import (
 
 // shard owns the market state of a subset of grid cells: the worker pool,
 // the open pricing window's tasks, at most one in-flight quoted batch, and a
-// private strategy instance. In concurrent mode each shard is driven by its
-// own goroutine reading from its channel, so none of this state needs locks;
-// in deterministic mode a single shard is driven inline by Submit.
+// private strategy instance. Only the router's sends drive a shard — from
+// its own goroutine reading its channel, or inline when the engine has no
+// goroutines — so none of this state needs locks.
 //
 // Pool discipline: the pool is always in arrival order, because batch
 // construction takes its right-vertex order from it, that order steers
@@ -30,7 +30,7 @@ import (
 type shard struct {
 	id     int
 	eng    *Engine
-	in     chan Event // nil in deterministic mode
+	in     chan Event // nil when the engine runs inline
 	strat  core.Strategy
 	window int
 
@@ -111,13 +111,29 @@ func (s *shard) reportCache() {
 	s.eng.noteCache(s.id, d)
 }
 
-// run drains the shard's channel until the router closes it, then finalizes
-// any in-flight quoted batch so its revenue is counted.
+// send hands the shard one event: on its channel, or straight to handle
+// when the engine runs inline.
+func (s *shard) send(ev Event) {
+	if s.in == nil {
+		s.handle(ev)
+		return
+	}
+	s.in <- ev
+}
+
+// run drains the shard's channel until the router closes it, then drains
+// the shard.
 func (s *shard) run() {
-	defer s.eng.shardWG.Done()
+	defer s.eng.wg.Done()
 	for ev := range s.in {
 		s.handle(ev)
 	}
+	s.drain()
+}
+
+// drain settles the shard at Close: the in-flight quoted batch finalizes so
+// its revenue is counted.
+func (s *shard) drain() {
 	s.finalizePending(time.Now()) //lint:detsource shutdown drain stamp feeds latency metrics only
 	s.flushNotes()
 }
@@ -193,15 +209,13 @@ func (s *shard) poolRemoveAt(i int) {
 // workerOnline admits a worker into the pool. A duplicate online (the ID is
 // already pooled) replaces the entry in place — never appends a second copy,
 // which would double-count supply within the shard — and keeps the original
-// arrival sequence, preserving the worker's batch-order slot. In
-// deterministic mode the shard also does the router's duplicate accounting.
+// arrival sequence, preserving the worker's batch-order slot. It counts as a
+// duplicate online.
 func (s *shard) workerOnline(w market.Worker) {
 	if i, ok := s.poolFind(w.ID); ok {
 		s.pool[i] = w
-		if s.eng.det != nil {
-			s.eng.late.Add(1)
-			s.eng.lcDuplicates.Add(1)
-		}
+		s.eng.late.Add(1)
+		s.eng.lcDuplicates.Add(1)
 		return
 	}
 	s.poolAppend(w)
@@ -225,10 +239,10 @@ func (s *shard) admit(w market.Worker) {
 // migrate-out half of the cross-shard handshake: hand the worker record to
 // the router, unless a pending quoted batch still references the worker, in
 // which case the move applies in place and the worker stays pinned to this
-// shard. Without ev.mig it is an in-place move (deterministic mode, or the
-// new cell stayed in this shard); the pending batch's stable worker copies
-// are never touched — quoted prices and the matching were computed against
-// the old position and remain committed.
+// shard. Without ev.mig it is an in-place move (the new cell stayed in this
+// shard); the pending batch's stable worker copies are never touched —
+// quoted prices and the matching were computed against the old position
+// and remain committed.
 func (s *shard) workerMove(ev Event) {
 	if ev.mig != nil {
 		i, ok := s.poolFind(ev.WorkerID)
@@ -253,7 +267,7 @@ func (s *shard) workerMove(ev Event) {
 		s.eng.lcMoves.Add(1)
 		return
 	}
-	// Unknown or already-settled worker (mirrors the router's accounting).
+	// Already settled here; the router's table had not heard yet.
 	s.eng.late.Add(1)
 }
 
@@ -274,14 +288,17 @@ func (s *shard) heldByPending(id int) bool {
 }
 
 // evictStale removes a ghost pool copy after a duplicate online re-homed
-// the worker to another shard. No late or lifecycle accounting — the router
-// already counted the duplicate — but a provisional assignment held by the
-// stale copy is repaired exactly like an offline.
+// the worker to another shard, and counts the duplicate if the copy was
+// still pooled (the router's table may name a worker this shard already
+// retired). A provisional assignment held by the stale copy is repaired
+// exactly like an offline.
 func (s *shard) evictStale(id int, at time.Time) {
 	s.repairPending(id, at)
 	if i, ok := s.poolFind(id); ok {
 		s.poolRemoveAt(i)
 		s.eng.pooled.Add(-1)
+		s.eng.late.Add(1)
+		s.eng.lcDuplicates.Add(1)
 	}
 }
 
@@ -312,22 +329,20 @@ func (s *shard) flushNotes() {
 	if len(s.notes) == 0 {
 		return
 	}
-	s.eng.noteLifecycle(s.notes)
+	e := s.eng
+	e.notesMu.Lock()
+	e.notes = append(e.notes, s.notes...)
+	e.notesMu.Unlock()
 	s.notes = s.notes[:0]
 }
 
 // note queues one lifecycle note for the router, stamped with the tick
-// period this shard is processing. Deterministic mode keeps no table and
-// discards notes.
+// period this shard is processing.
 func (s *shard) note(id int, kind noteKind) {
-	if s.eng.det != nil {
-		return
-	}
 	s.notes = append(s.notes, lifecycleNote{id: id, shard: s.id, period: s.lastTick, kind: kind})
 }
 
-// countRetire bumps the engine's per-reason retirement counter (identical
-// in both modes).
+// countRetire bumps the engine's per-reason retirement counter.
 func (s *shard) countRetire(why RetireReason) {
 	switch why {
 	case RetireAssigned:
@@ -657,8 +672,7 @@ func (s *shard) workerOffline(id int, at time.Time) {
 	if s.removeWorkerID(id, RetireOffline) || found {
 		return
 	}
-	// Unknown worker (mirrors the router's accounting, so Stats.Late
-	// behaves identically in deterministic and sharded mode).
+	// Already settled here; the router's table had not heard yet.
 	s.eng.late.Add(1)
 }
 

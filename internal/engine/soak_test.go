@@ -124,16 +124,12 @@ func TestSoakCheckpointRestore(t *testing.T) {
 
 // livePools returns each shard's live pool entries in pool order, after
 // checking the pool discipline on every shard. Safe only while no shard
-// goroutine can run: deterministic mode, or after a Checkpoint/Restore
+// goroutine can run: an inline engine, or after a Checkpoint/Restore
 // round-trip or Close ordered the memory.
 func livePools(t *testing.T, e *Engine, when string) [][]market.Worker {
 	t.Helper()
-	shards := e.shards
-	if e.det != nil {
-		shards = []*shard{e.det}
-	}
-	pools := make([][]market.Worker, len(shards))
-	for si, s := range shards {
+	pools := make([][]market.Worker, len(e.shards))
+	for si, s := range e.shards {
 		checkPoolDiscipline(t, s, when)
 		for i, w := range s.pool {
 			if !s.poolDead[i] {
@@ -192,10 +188,11 @@ func pooledIDs(t *testing.T, e *Engine, when string) map[int]bool {
 	return ids
 }
 
-func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize bool) {
-	t.Helper()
+// soakConfig is the soak harness's engine: 64 cells priced by SDR, split
+// under a balanced partition when sharded. Quoted mode unless auto is set.
+func soakConfig(shards int, auto, amortize bool) Config {
 	grid := geo.SquareGrid(100, 8) // 64 cells
-	cfg := Config{Grid: grid, Shards: shards, Amortize: amortize}
+	cfg := Config{Grid: grid, Shards: shards, AutoDecide: auto, Amortize: amortize}
 	if shards > 0 {
 		cfg.Partitioner = spatial.BalancedPartition(spatial.NewGridSpace(grid), shards)
 		cfg.NewStrategy = func(int) core.Strategy {
@@ -206,11 +203,16 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 		s, _ := core.NewSDR(core.DefaultParams(), 2)
 		cfg.Strategy = s
 	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return cfg
+}
 
+// soakStream is the soak harness's seeded generator: about budget events of
+// interleaved ticks, replies, onlines, duplicate onlines, moves, arrivals
+// and offlines over soakConfig's region, closed by two ticks that settle the
+// last quoted batch. It never reads an engine's output, so one stream can
+// drive any number of engines. It also reports the most tasks one period
+// carries and every worker ID it onlines.
+func soakStream(seed int64, budget int) (evs []Event, maxPerTick int, everOnline map[int]bool) {
 	rng := rand.New(rand.NewSource(seed))
 	randPoint := func() geo.Point {
 		return geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
@@ -225,68 +227,14 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 		openQuotes []int
 		nextWorker = 1
 		nextTask   = 1
-		submitted  = 0
-		maxPerTick = 0
-		everOnline = map[int]bool{}
-		last       = map[int]Decision{} // committed (non-quoted) pairing per task
 	)
-	sub := func(ev Event) {
-		if err := e.Submit(ev); err != nil {
-			t.Fatalf("event %d: %v", submitted+1, err)
-		}
-		submitted++
-		// Deterministic mode applies the event inline, so the pool can be
-		// inspected after every single one; sharded runs are inspected at
-		// the checkpoint seam and after Close.
-		if e.det != nil {
-			checkPoolDiscipline(t, e.det, "after event "+strconv.Itoa(submitted))
-		}
-	}
-	drain := func() {
-		for _, d := range e.Poll() {
-			if !d.Quoted {
-				last[d.TaskID] = d
-			}
-		}
-	}
+	everOnline = map[int]bool{}
+	sub := func(ev Event) { evs = append(evs, ev) }
 
 	// Event mix per period; tuned so ~budget events span a few thousand
 	// periods with constant churn.
 	period := 0
-	restored := false
-	for submitted < budget {
-		// Mid-stream crash/recovery: checkpoint (quoted batches pending),
-		// discard the engine, restore into a fresh one, keep streaming.
-		if restoreMid && !restored && submitted >= budget/2 {
-			restored = true
-			var ck bytes.Buffer
-			if err := e.Checkpoint(&ck); err != nil {
-				t.Fatalf("mid-stream checkpoint: %v", err)
-			}
-			// The checkpoint barrier guarantees every pre-checkpoint decision
-			// has been emitted; collect them before discarding the engine
-			// (Close would re-finalize state the restored engine still owns).
-			drain()
-			before := pooledIDs(t, e, "pre-restore")
-			_ = e.Close()
-			fresh, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.Restore(bytes.NewReader(ck.Bytes())); err != nil {
-				t.Fatalf("mid-stream restore: %v", err)
-			}
-			after := pooledIDs(t, fresh, "post-restore")
-			if len(after) != len(before) {
-				t.Fatalf("restore changed the pool: %d workers before, %d after", len(before), len(after))
-			}
-			for id := range before {
-				if !after[id] {
-					t.Fatalf("worker %d lost across restore", id)
-				}
-			}
-			e = fresh
-		}
+	for len(evs) < budget {
 		sub(Tick(period))
 
 		// Answer ~70% of the previous window's quotes (random accepts).
@@ -296,7 +244,6 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 			}
 		}
 		openQuotes = openQuotes[:0]
-		drain()
 
 		// Forget workers whose availability lapsed, so most mobility events
 		// target genuinely live workers (consumed ones still slip through
@@ -346,14 +293,16 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 		if rng.Float64() < 0.05 {
 			sub(WorkerMove(-7, randPoint()))
 		}
-		// Task arrivals (their quotes are answerable next period).
+		// Task arrivals (their quotes are answerable next period; an
+		// auto-deciding engine reads the valuation instead, drawn without
+		// the rng so both modes see one stream).
 		for i := rng.Intn(5); i > 0; i-- {
 			id := nextTask
 			nextTask++
 			tasksThisTick++
 			sub(TaskArrival(market.Task{
 				ID: id, Period: period, Origin: randPoint(),
-				Distance: 0.5 + rng.Float64()*4,
+				Distance: 0.5 + rng.Float64()*4, Valuation: float64(1 + id%4),
 			}))
 			openQuotes = append(openQuotes, id)
 		}
@@ -367,20 +316,86 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 			maxPerTick = tasksThisTick
 		}
 		period++
-
-		// Mid-run coherence probes (cheap, snapshot-safe).
-		if period%512 == 0 {
-			st := e.Stats()
-			if st.Served > st.Accepted || st.Accepted > st.Quoted {
-				t.Fatalf("period %d: funnel violated: %+v", period, st)
-			}
-			if st.Lifecycle.Pooled < 0 {
-				t.Fatalf("period %d: negative pool gauge: %+v", period, st.Lifecycle)
-			}
-		}
 	}
 	sub(Tick(period))
 	sub(Tick(period + 1))
+	return evs, maxPerTick, everOnline
+}
+
+func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize bool) {
+	t.Helper()
+	cfg := soakConfig(shards, false, amortize)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, maxPerTick, everOnline := soakStream(seed, budget)
+	last := map[int]Decision{} // committed (non-quoted) pairing per task
+	drain := func() {
+		for _, d := range e.Poll() {
+			if !d.Quoted {
+				last[d.TaskID] = d
+			}
+		}
+	}
+
+	restored := false
+	for i, ev := range evs {
+		if ev.Kind == KindTick {
+			drain()
+			// Mid-run coherence probes (cheap, snapshot-safe).
+			if p := ev.Period; p > 0 && p%512 == 0 {
+				st := e.Stats()
+				if st.Served > st.Accepted || st.Accepted > st.Quoted {
+					t.Fatalf("period %d: funnel violated: %+v", p, st)
+				}
+				if st.Lifecycle.Pooled < 0 {
+					t.Fatalf("period %d: negative pool gauge: %+v", p, st.Lifecycle)
+				}
+			}
+		}
+		// Mid-stream crash/recovery: checkpoint (quoted batches pending),
+		// discard the engine, restore into a fresh one, keep streaming.
+		if restoreMid && !restored && ev.Kind == KindTick && i >= budget/2 {
+			restored = true
+			var ck bytes.Buffer
+			if err := e.Checkpoint(&ck); err != nil {
+				t.Fatalf("mid-stream checkpoint: %v", err)
+			}
+			// The checkpoint barrier guarantees every pre-checkpoint decision
+			// has been emitted; collect them before discarding the engine
+			// (Close would re-finalize state the restored engine still owns).
+			drain()
+			before := pooledIDs(t, e, "pre-restore")
+			_ = e.Close()
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Restore(bytes.NewReader(ck.Bytes())); err != nil {
+				t.Fatalf("mid-stream restore: %v", err)
+			}
+			after := pooledIDs(t, fresh, "post-restore")
+			if len(after) != len(before) {
+				t.Fatalf("restore changed the pool: %d workers before, %d after", len(before), len(after))
+			}
+			for id := range before {
+				if !after[id] {
+					t.Fatalf("worker %d lost across restore", id)
+				}
+			}
+			e = fresh
+		}
+		if err := e.Submit(ev); err != nil {
+			t.Fatalf("event %d: %v", i+1, err)
+		}
+		// An inline engine applies the event before Submit returns, so the
+		// pool can be inspected after every single one; goroutine-driven
+		// runs are inspected at the checkpoint seam and after Close.
+		if e.in == nil {
+			checkPoolDiscipline(t, e.shards[0], "after event "+strconv.Itoa(i+1))
+		}
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +403,7 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 
 	st := e.Stats()
 	t.Logf("soak shards=%d seed=%d: %d events, %d periods, %d quoted, %d served, revenue %.1f, late %d, lifecycle %+v",
-		shards, seed, submitted, period, st.Quoted, st.Served, st.Revenue, st.Late, st.Lifecycle)
+		shards, seed, len(evs), evs[len(evs)-1].Period, st.Quoted, st.Served, st.Revenue, st.Late, st.Lifecycle)
 
 	// Invariant: the funnel.
 	if st.TasksPriced == 0 || st.Quoted == 0 || st.Served == 0 {
@@ -432,17 +447,15 @@ func runSoak(t *testing.T, seed int64, budget, shards int, restoreMid, amortize 
 	// the workers that ever onlined and never more than onlines minus
 	// permanent retirements it has heard about; the quoted-task maps hold
 	// at most the last two generations of quotes.
-	if e.workers != nil {
-		if n := e.workers.size(); n > len(everOnline) {
-			t.Fatalf("worker table tracks %d workers, only %d ever onlined", n, len(everOnline))
-		}
-		if lc := st.Lifecycle; lc.TrackedHeld < 0 || lc.TrackedHeld > lc.Tracked {
-			t.Fatalf("held gauge out of range: held=%d tracked=%d", lc.TrackedHeld, lc.Tracked)
-		}
-		taskEntries := len(e.taskShardCur) + len(e.taskShardPrev)
-		if bound := 4 * (maxPerTick + 1) * e.Window(); taskEntries > bound {
-			t.Fatalf("task routing maps hold %d entries, bound %d (leak?)", taskEntries, bound)
-		}
+	if n := e.workers.size(); n > len(everOnline) {
+		t.Fatalf("worker table tracks %d workers, only %d ever onlined", n, len(everOnline))
+	}
+	if lc := st.Lifecycle; lc.TrackedHeld < 0 || lc.TrackedHeld > lc.Tracked {
+		t.Fatalf("held gauge out of range: held=%d tracked=%d", lc.TrackedHeld, lc.Tracked)
+	}
+	taskEntries := len(e.taskShardCur) + len(e.taskShardPrev)
+	if bound := 4 * (maxPerTick + 1) * e.Window(); taskEntries > bound {
+		t.Fatalf("task routing maps hold %d entries, bound %d (leak?)", taskEntries, bound)
 	}
 
 	// Invariant: the committed decision stream carries the finalized

@@ -28,8 +28,7 @@ type Stats struct {
 	Accepted int64
 	Served   int64
 	Revenue  float64
-	// ShardRevenue breaks Revenue down by shard (one entry in
-	// deterministic mode).
+	// ShardRevenue breaks Revenue down by shard (one entry inline).
 	ShardRevenue []float64
 	// ShardTasks breaks TasksPriced down by shard — the per-shard
 	// throughput, which shows how evenly the partitioner spread the market.
@@ -42,7 +41,7 @@ type Stats struct {
 	Late int64
 	// Cache aggregates the executors' amortization counters (Config.Amortize);
 	// all zero when amortization is off. ShardCache breaks Cache down by
-	// shard (one entry in deterministic mode). With amortization on, every
+	// shard (one entry in an inline engine). With amortization on, every
 	// priced window scores exactly one context hit or miss and one price hit
 	// or miss, so CtxHits + CtxMisses == Batches + StrategyErrors — the soak
 	// harness asserts it (restore-time rebuilds are deliberately excluded
@@ -100,14 +99,14 @@ func (a StageStats) Add(b StageStats) StageStats {
 // LifecycleStats counts worker-lifecycle transitions (see lifecycle.go).
 type LifecycleStats struct {
 	// Onlines counts fresh pool admissions; DuplicateOnlines counts online
-	// events for an ID the engine was already tracking (the stale copy is
+	// events for an ID a shard still pools (the stale copy is replaced or
 	// retired first — no ghost supply — and the event also counts as Late).
 	Onlines          int64
 	DuplicateOnlines int64
 	// Moves counts in-place relocations (the new cell stayed in the same
-	// shard, or deterministic mode); Migrations counts completed cross-shard
-	// retire/admit handshakes; PinnedMoves counts cross-shard moves applied
-	// in place because a pending quoted batch held the worker.
+	// shard); Migrations counts completed cross-shard retire/admit
+	// handshakes; PinnedMoves counts cross-shard moves applied in place
+	// because a pending quoted batch held the worker.
 	Moves       int64
 	Migrations  int64
 	PinnedMoves int64
@@ -117,8 +116,9 @@ type LifecycleStats struct {
 	RetiredOffline  int64
 	// Pooled is the current number of workers across shard pools; Tracked
 	// is the router lifecycle-table size and TrackedHeld how many of those
-	// entries are in the quoted-held state (both 0 in deterministic mode).
-	// All are bounded by the live population — the soak harness asserts it.
+	// entries are quoted-held, both as of the last tick and a tick or two
+	// behind the pools. All are bounded by the live population — the soak
+	// harness asserts it.
 	Pooled      int64
 	Tracked     int64
 	TrackedHeld int64

@@ -25,8 +25,9 @@ type TenantConfig struct {
 	Name string
 	// Engine configures the tenant's engine. OnDecision is chained: the
 	// server installs its quote hub first and then calls any configured
-	// callback. Shards == 0 keeps the engine's deterministic mode (useful
-	// for replay-exact tenants); use engine.DefaultShards to auto-size.
+	// callback. Shards == 0 runs the engine inline in the ingest handler's
+	// goroutine, exactly like one shard (useful for replay-exact tenants);
+	// use engine.DefaultShards to auto-size.
 	Engine engine.Config
 	// RestoreFrom, when non-empty, loads this checkpoint into the fresh
 	// engine before serving — the recovery half of a drained tenant.

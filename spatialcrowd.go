@@ -246,9 +246,11 @@ type (
 	Decision = engine.Decision
 )
 
-// NewEngine starts a streaming dispatch engine. With EngineConfig.Shards = 0
-// it runs deterministically in the caller's goroutine; otherwise events fan
-// out to per-shard goroutines that each own a subset of grid cells.
+// NewEngine starts a streaming dispatch engine: a router in front of shards
+// that each own a subset of grid cells. With EngineConfig.Shards = 0 the
+// router and its one shard run in the caller's goroutine, deterministically
+// and exactly like a one-shard engine; otherwise each runs on its own
+// goroutine.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // WAL is the segmented, CRC32C-framed write-ahead event log. Attach one via
