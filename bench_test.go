@@ -243,44 +243,58 @@ func BenchmarkMaxWeightMatching(b *testing.B) {
 			}
 		}
 	}
+	sc := &match.MaxWeightScratch{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		match.MaxWeightByLeft(g, weights)
+		match.MaxWeightByLeftScratch(g, weights, sc)
 	}
 }
 
 // BenchmarkMAPSPricesOnePeriod isolates Algorithm 2 on one period's batch.
+// "sparse" (200 tasks, 60 workers of radius 10, about 2 edges per task) is
+// the overhead guard for the pre-matcher's bookkeeping. "dense" is shaped
+// like a dense-grid window (600 tasks, 100 workers of radius 14, about 6
+// edges per task), where the augmenting-path search dominates.
 func BenchmarkMAPSPricesOnePeriod(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	grid := geo.SquareGrid(100, 10)
-	const nt, nw = 200, 60
-	tasks := make([]market.Task, nt)
-	for i := range tasks {
-		o := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		d := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		tasks[i] = market.Task{ID: i, Origin: o, Dest: d, Distance: o.Dist(d)}
-	}
-	workers := make([]market.Worker, nw)
-	for i := range workers {
-		workers[i] = market.Worker{ID: i,
-			Loc:    geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
-			Radius: 10}
-	}
-	graph := market.BuildBipartite(tasks, workers)
-	ctx := core.BuildContext(grid, 0, tasks, workers, graph)
-	m, err := core.NewMAPS(core.DefaultParams(), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ct := range ctx.Cells {
-		cs := m.CellStats(ct.Cell)
-		for _, p := range cs.Ladder() {
-			cs.Seed(p, 500, int(500*(1-p/6)))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Prices(ctx)
+	for _, c := range []struct {
+		name   string
+		nt, nw int
+		radius float64
+	}{{"sparse", 200, 60, 10}, {"dense", 600, 100, 14}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(10))
+			grid := geo.SquareGrid(100, 10)
+			tasks := make([]market.Task, c.nt)
+			for i := range tasks {
+				o := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+				d := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+				tasks[i] = market.Task{ID: i, Origin: o, Dest: d, Distance: o.Dist(d)}
+			}
+			workers := make([]market.Worker, c.nw)
+			for i := range workers {
+				workers[i] = market.Worker{ID: i,
+					Loc:    geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
+					Radius: c.radius}
+			}
+			graph := market.BuildBipartite(tasks, workers)
+			ctx := core.BuildContext(grid, 0, tasks, workers, graph)
+			m, err := core.NewMAPS(core.DefaultParams(), 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ct := range ctx.Cells {
+				cs := m.CellStats(ct.Cell)
+				for _, p := range cs.Ladder() {
+					cs.Seed(p, 500, int(500*(1-p/6)))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Prices(ctx)
+			}
+		})
 	}
 }
 

@@ -85,7 +85,7 @@ func main() {
 
 	if *writePath != "" {
 		out := Baseline{
-			Note:    "micro-gates for 0-alloc and format properties (end-to-end numbers live in BENCHMARK.json / go run ./bench); regenerate with: go test -run xxx -bench 'ShardBatch$|BipartiteBuild|RoadSpaceDistContended$|RoadSpaceDistCached$|LowChurnWindow|WorkerIndexBuild|WALAppend' -benchmem -benchtime 0.5s ./... | go run ./cmd/benchgate -write BENCH_engine.json",
+			Note:    "micro-gates for 0-alloc and format properties (end-to-end numbers live in BENCHMARK.json / go run ./bench); regenerate with: go test -run xxx -bench 'ShardBatch$|BipartiteBuild|RoadSpaceDistContended$|RoadSpaceDistCached$|LowChurnWindow|WorkerIndexBuild|WALAppend|MAPSPricesOnePeriod|MaxWeightMatching' -benchmem -benchtime 0.5s ./... | go run ./cmd/benchgate -write BENCH_engine.json",
 			Results: results,
 		}
 		data, err := json.MarshalIndent(out, "", "  ")

@@ -9,12 +9,14 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"spatialcrowd/internal/core"
+	"spatialcrowd/internal/geo"
 	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/sim"
 	"spatialcrowd/internal/workload"
@@ -143,6 +145,29 @@ func goldenRuns(t *testing.T) map[string]goldenRun {
 		}
 	}
 
+	for _, v := range []struct {
+		name      string
+		smoothing float64
+	}{{"tie/MAPS", 0}, {"tie/MAPS/smooth0.3", 0.3}} {
+		m, err := core.NewMAPS(core.DefaultParams(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Smoothing = v.smoothing
+		for cell := 0; cell < 2; cell++ {
+			cs := m.CellStats(cell)
+			for _, p := range cs.Ladder() {
+				cs.Seed(p, 400, int(math.Min(400, 400*(1.3-0.3*p))))
+			}
+		}
+		h := &hashedMAPS{MAPS: m}
+		res, err := sim.Run(tieInstance(), h, sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[v.name] = goldenRun{Revenue: fmt.Sprintf("%.17g", res.Revenue), Prices: h.ph.sum()}
+	}
+
 	// At quickRunner's scale the two A2 variants tie; 20 keeps them apart.
 	small := quickRunner()
 	small.Scale = 20
@@ -161,6 +186,42 @@ func goldenRuns(t *testing.T) map[string]goldenRun {
 		out["A6/"+row.Variant] = goldenRun{Revenue: fmt.Sprintf("%.17g", row.Revenue)}
 	}
 	return out
+}
+
+// tieInstance is a two-cell market built so that MAPS's grids tie on a
+// positive Δ while competing for a shared worker, which makes deltaHeap's
+// (Δ, cell) tie-break decide prices. Every period each cell gets two tasks
+// of distance 2, an inner one by the boundary and an outer one, with the
+// same valuations as their mirror images. One worker on the boundary reaches
+// only the two inner tasks; each outer task has a worker of its own. The
+// cell that wins the shared worker reaches two units of supply, the other
+// one. goldenRuns seeds both cells with the same acceptance table, on which
+// one and two units price differently (3.375 against 2.25), so flipping the
+// tie-break swaps the two cells' prices.
+func tieInstance() *market.Instance {
+	rng := rand.New(rand.NewSource(32))
+	in := &market.Instance{Grid: geo.NewGrid(geo.NewRect(geo.Point{}, geo.Point{X: 20, Y: 10}), 2, 1), Periods: 60}
+	for t := 0; t < in.Periods; t++ {
+		inner, outer := 1+4*rng.Float64(), 1+4*rng.Float64()
+		for _, task := range []market.Task{
+			{Origin: geo.Point{X: 9, Y: 5}, Distance: 2, Valuation: inner},
+			{Origin: geo.Point{X: 1, Y: 5}, Distance: 2, Valuation: outer},
+			{Origin: geo.Point{X: 11, Y: 5}, Distance: 2, Valuation: inner},
+			{Origin: geo.Point{X: 19, Y: 5}, Distance: 2, Valuation: outer},
+		} {
+			task.ID, task.Period, task.Dest = len(in.Tasks), t, task.Origin
+			in.Tasks = append(in.Tasks, task)
+		}
+		for _, w := range []market.Worker{
+			{Loc: geo.Point{X: 10, Y: 5}, Radius: 1.5},
+			{Loc: geo.Point{X: 1, Y: 5.5}, Radius: 1},
+			{Loc: geo.Point{X: 19, Y: 5.5}, Radius: 1},
+		} {
+			w.ID, w.Period, w.Duration = len(in.Workers), t, 1
+			in.Workers = append(in.Workers, w)
+		}
+	}
+	return in
 }
 
 // TestStrategyGolden pins absolute revenues and price streams across

@@ -158,6 +158,25 @@ func TestGridCellOfClamping(t *testing.T) {
 		{Point{-5, 105}, 90},
 		{Point{105, 105}, 99},
 		{Point{100, 100}, 99}, // exact max corner
+		// Just past each edge, and the cells just inside it.
+		{Point{-1e-9, 50}, 50},
+		{Point{0, 50}, 50},
+		{Point{99.999999, 50}, 59},
+		{Point{100 + 1e-9, 50}, 59},
+		{Point{150, 50}, 59},
+		{Point{50, -1e-9}, 5},
+		{Point{50, 100 + 1e-9}, 95},
+		// Distant finite points: the quotient overflows int, so it must be
+		// clamped before the conversion, not after.
+		{Point{1e300, 50}, 59},
+		{Point{-1e300, 50}, 50},
+		{Point{50, 1e300}, 95},
+		{Point{50, -1e300}, 5},
+		{Point{math.MaxFloat64, math.MaxFloat64}, 99},
+		{Point{-math.MaxFloat64, -math.MaxFloat64}, 0},
+		{Point{math.MaxFloat64, -math.MaxFloat64}, 9},
+		{Point{-math.MaxFloat64, math.MaxFloat64}, 90},
+		{Point{math.Inf(1), math.Inf(-1)}, 9},
 	}
 	for _, tt := range tests {
 		if got := g.CellOf(tt.p); got != tt.want {

@@ -45,19 +45,22 @@ func (g Grid) CellHeight() float64 { return g.Region.Height() / float64(g.Rows) 
 // valid index; this mirrors the platform practice of attributing slightly
 // out-of-region requests to the nearest market.
 func (g Grid) CellOf(p Point) int {
-	cx := int((p.X - g.Region.Min.X) / g.CellWidth())
-	cy := int((p.Y - g.Region.Min.Y) / g.CellHeight())
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.Cols {
-		cx = g.Cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.Rows {
-		cy = g.Rows - 1
-	}
+	cx := clampCell((p.X-g.Region.Min.X)/g.CellWidth(), g.Cols)
+	cy := clampCell((p.Y-g.Region.Min.Y)/g.CellHeight(), g.Rows)
 	return cy*g.Cols + cx
+}
+
+// clampCell converts a cell coordinate q to an index in [0, n). It clamps
+// in float64 before converting: a quotient beyond int's range (a distant but
+// finite point) would otherwise wrap to a wrong boundary cell. NaN maps to 0.
+func clampCell(q float64, n int) int {
+	if !(q >= 0) {
+		return 0
+	}
+	if q >= float64(n) {
+		return n - 1
+	}
+	return int(q)
 }
 
 // CellRect returns the rectangle of cell i. It panics if i is out of range.

@@ -5,16 +5,36 @@ package match
 // pre-matching M' of Algorithm 2: each time a grid wants one more unit of
 // supply, it asks whether some still-unassigned task of that grid admits an
 // augmenting path, and commits the flip if so (line 10).
+//
+// Failed searches are remembered until the matching changes in a way that
+// could revive them. When a search from a free left vertex finds no
+// augmenting path, the right vertices it visited form a closed region: every
+// one is matched, its mate was searched too, and every neighbour of that mate
+// lies in the region, is removed, or sits in an earlier such region. No
+// augmenting path can enter a closed region, so a flip never touches it, and
+// RemoveRight only shrinks it. Later searches skip these dead vertices. That
+// skips only walks that would fail, so every search finds the same path, in
+// the same order, as one that re-walks them. Reset forgets the dead regions,
+// and so do Release and RestoreRight, which can free a matched right vertex
+// or re-admit a removed one and so open a path. RestorePair forgets too, as
+// a precaution on the restore path; it only pairs a free right vertex, which
+// no dead region holds. TestIncrementalEqualsReference checks all of this
+// against the matcher that re-walks every search.
 type Incremental struct {
 	g       *Graph
 	m       *Matching
-	visited []int // stamp-based visited marks for right vertices
+	visited []int // stamp of the last search that reached each right vertex
 	removed []int // stamp-based removal marks (worker churn); see removedGen
 	stamp   int
 	// removedGen is the stamp meaning "removed in the current generation".
 	// Reset bumps it instead of clearing the array, so re-arming the matcher
 	// for a new batch is O(1) in the removal state.
 	removedGen int
+	// failed[s-deadFloor-1] records that search s ended without a path. A
+	// right vertex is dead while the search that last reached it is one of
+	// those; forget raises deadFloor past every stamp issued so far.
+	failed    []bool
+	deadFloor int
 }
 
 // NewIncremental returns an incremental matcher over g with an empty
@@ -26,9 +46,10 @@ func NewIncremental(g *Graph) *Incremental {
 }
 
 // Reset re-arms the matcher over a (possibly different) graph with an empty
-// matching, reusing the visited, removal, and pairing arrays. The epoch
-// stamps make the old marks unreadable without clearing them, so a per-batch
-// reset costs O(nLeft + nRight) for the pairing fill and nothing else.
+// matching, reusing the visited, removal, failure and pairing arrays. The
+// epoch stamps make the old marks unreadable without clearing them, so a
+// per-batch reset costs O(nLeft + nRight) for the pairing fill and nothing
+// else.
 func (in *Incremental) Reset(g *Graph) {
 	in.g = g
 	if in.m == nil {
@@ -39,6 +60,33 @@ func (in *Incremental) Reset(g *Graph) {
 	in.visited = growStamps(in.visited, g.NRight())
 	in.removed = growStamps(in.removed, g.NRight())
 	in.removedGen++
+	in.forget()
+}
+
+// forget revives every dead region: stamps up to the current one no longer
+// count as failed.
+func (in *Incremental) forget() {
+	in.deadFloor = in.stamp
+	in.failed = in.failed[:0]
+}
+
+// fail records that the current search found no augmenting path.
+func (in *Incremental) fail() {
+	for len(in.failed) < in.stamp-in.deadFloor-1 {
+		in.failed = append(in.failed, false)
+	}
+	in.failed = append(in.failed, true)
+}
+
+// skip reports whether a search must not enter right vertex r: it is
+// removed, already visited by the current search, or dead.
+func (in *Incremental) skip(r int) bool {
+	v := in.visited[r]
+	if v == in.stamp || in.removed[r] == in.removedGen {
+		return true
+	}
+	i := v - in.deadFloor - 1
+	return uint(i) < uint(len(in.failed)) && in.failed[i]
 }
 
 // growStamps returns a length-n stamp array, reusing s when large enough.
@@ -72,7 +120,11 @@ func (in *Incremental) TryAugment(l int) bool {
 		return false
 	}
 	in.stamp++
-	return in.dfs(l)
+	if in.dfs(l) {
+		return true
+	}
+	in.fail()
+	return false
 }
 
 // TryAugmentAny attempts TryAugment on each candidate in order and returns
@@ -99,6 +151,7 @@ func (in *Incremental) CanAugmentAny(candidates []int) bool {
 		if in.probe(l) {
 			return true
 		}
+		in.fail()
 	}
 	return false
 }
@@ -106,7 +159,7 @@ func (in *Incremental) CanAugmentAny(candidates []int) bool {
 // dfs searches for an augmenting path from l and flips it when found.
 func (in *Incremental) dfs(l int) bool {
 	for _, r := range in.g.Adj(l) {
-		if in.removed[r] == in.removedGen || in.visited[r] == in.stamp {
+		if in.skip(r) {
 			continue
 		}
 		in.visited[r] = in.stamp
@@ -122,7 +175,7 @@ func (in *Incremental) dfs(l int) bool {
 // probe is dfs without committing the flip.
 func (in *Incremental) probe(l int) bool {
 	for _, r := range in.g.Adj(l) {
-		if in.removed[r] == in.removedGen || in.visited[r] == in.stamp {
+		if in.skip(r) {
 			continue
 		}
 		in.visited[r] = in.stamp
@@ -143,6 +196,7 @@ func (in *Incremental) Release(l int) {
 	if r := in.m.LeftTo[l]; r >= 0 {
 		in.m.LeftTo[l] = -1
 		in.m.RightTo[r] = -1
+		in.forget()
 	}
 }
 
@@ -173,6 +227,7 @@ func (in *Incremental) RestoreRight(r int) bool {
 		return false
 	}
 	in.removed[r] = 0
+	in.forget()
 	return true
 }
 
@@ -195,5 +250,6 @@ func (in *Incremental) RestorePair(l, r int) bool {
 	}
 	in.m.LeftTo[l] = r
 	in.m.RightTo[r] = l
+	in.forget()
 	return true
 }
