@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's evaluation: every panel of
 // Figures 6–8 and 10 as ASCII tables (or CSV), plus the ablation studies
-// described in DESIGN.md.
+// indexed in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -107,7 +107,7 @@ func catalog(r *exp.Runner) []namedDriver {
 
 func printCatalog() {
 	r := exp.NewRunner()
-	fmt.Println("Available experiments (see DESIGN.md §4):")
+	fmt.Println("Available experiments (index: EXPERIMENTS.md, \"Running the figure experiments\"):")
 	for _, d := range catalog(r) {
 		fmt.Printf("  %-4s %s\n", d.id, d.title)
 	}

@@ -1,5 +1,5 @@
 // Package exp reproduces the paper's evaluation: one driver per figure panel
-// group (Figures 6–8 and 10) plus the ablations DESIGN.md calls out. Each
+// group (Figures 6–8 and 10) plus the ablations EXPERIMENTS.md indexes. Each
 // driver sweeps a parameter, runs the five pricing strategies on identical
 // workloads, and returns a Series whose revenue / running-time / memory rows
 // mirror the paper's plots.
@@ -64,7 +64,7 @@ type Point struct {
 // Series is one column of a paper figure: a parameter sweep with all
 // strategies' revenue, time, and memory.
 type Series struct {
-	ID     string // experiment id from DESIGN.md, e.g. "E1"
+	ID     string // experiment id from EXPERIMENTS.md's index, e.g. "E1"
 	Title  string // e.g. "Fig 6(a,e,i): varying |W|"
 	Param  string // x-axis name
 	Points []Point

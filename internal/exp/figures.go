@@ -146,7 +146,8 @@ func (r *Runner) BeijingNight() (*Series, error) {
 	return r.beijingSweep("E12", "Fig 8(d,h,l): Beijing-like #2 (0am-2am)", workload.BeijingNight)
 }
 
-// All runs every figure experiment in DESIGN.md order.
+// All runs every figure experiment in the order of EXPERIMENTS.md's
+// experiment index.
 func (r *Runner) All() ([]*Series, error) {
 	drivers := []func() (*Series, error){
 		r.VaryWorkers, r.VaryRequests, r.VaryTemporalMean, r.VarySpatialMean,

@@ -143,9 +143,21 @@ type WorkerIndex struct {
 	slots      []gridSlot
 
 	cell      []int32  // build scratch: worker -> cell, -1 when left out
-	buf       []int    // reused candidate buffer for BuildGraphInto
+	buf       []int    // reused candidate buffer for eager graphs
 	markWords []uint64 // reused bitmap for ascending candidate emission
+
+	// Lazy lists of the last BuildGraphInto: list l's task origin and, once
+	// firstBlock has left the list open, the cursors above resumes from.
+	origins []geo.Point
+	resume  []runSpan // list l's cursors: runs[resume[l].at:][:resume[l].n]
+	runs    []cellRun
 }
+
+// cellRun is a cursor over one grid cell's slots, slots[at:end].
+type cellRun struct{ at, end int32 }
+
+// runSpan locates one list's cursors in WorkerIndex.runs.
+type runSpan struct{ at, n int32 }
 
 // gridSlot is one gridded worker, packed so a query's distance filter reads
 // the cell run sequentially instead of chasing into the pool.
@@ -354,20 +366,138 @@ func (ix *WorkerIndex) ascending(cand []int) {
 	}
 }
 
-// BuildGraphInto constructs the bipartite graph of the given tasks against
-// the indexed pool — the same edges in the same order as BuildBipartite —
-// into a caller-reused graph (reset to the batch's dimensions first), so
-// per-window graph construction reuses the previous window's adjacency
-// arenas. It returns g.
+// BuildGraphInto returns the bipartite graph of the given tasks against the
+// indexed pool — the same edges in the same order as BuildBipartite — in a
+// caller-reused graph, reset to the batch's dimensions. It returns g.
+//
+// Over a pool of more than eagerPool workers the graph is lazy
+// (match.Graph.ResetLazy): building it only records the task origins, and a
+// task's list is enumerated from the index as it is read. The first
+// extension emits the task's candidates in the lowest 64-index block of the
+// pool that holds any, the second everything above that block, so a search
+// that stops at an early candidate leaves most of the list unbuilt, and a
+// list read to the end costs about one Candidates query. The graph reads
+// the index, so it is valid until the index's next Reindex, Update or
+// BuildGraphInto.
 func (ix *WorkerIndex) BuildGraphInto(tasks []Task, g *match.Graph) *match.Graph {
-	g.Reset(len(tasks), ix.n)
+	if ix.n <= eagerPool {
+		g.Reset(len(tasks), ix.n)
+		for ti := range tasks {
+			ix.buf = ix.Candidates(tasks[ti].Origin, ix.buf[:0])
+			for _, wi := range ix.buf {
+				g.AddEdge(ti, wi)
+			}
+		}
+		return g
+	}
+	ix.origins = resize(ix.origins, len(tasks))
 	for ti := range tasks {
-		ix.buf = ix.Candidates(tasks[ti].Origin, ix.buf[:0])
-		for _, wi := range ix.buf {
-			g.AddEdge(ti, wi)
+		ix.origins[ti] = tasks[ti].Origin
+	}
+	ix.resume = resize(ix.resume, len(tasks))
+	ix.runs = ix.runs[:0]
+	g.ResetLazy(len(tasks), ix.n, (*candidateLists)(ix))
+	return g
+}
+
+// candidateLists is a WorkerIndex as the source of the lazy graphs it
+// builds: list l holds the candidates of origins[l].
+type candidateLists WorkerIndex
+
+// Extend implements match.Source. A list that firstBlock left open holds
+// exactly one block, which is how Extend tells the two extensions apart.
+func (cl *candidateLists) Extend(l int, adj []int) ([]int, bool) {
+	ix := (*WorkerIndex)(cl)
+	if len(adj) == 0 {
+		return ix.firstBlock(l, adj)
+	}
+	return ix.above(l, adj), true
+}
+
+// eagerPool is the largest pool whose graphs BuildGraphInto builds at once.
+// Such a pool spans at most two 64-index blocks, so a first extension would
+// read at least half of each list's slots, and a saturated window, which
+// reads every list to the end, would pay for the split.
+const eagerPool = 2 * 64
+
+// firstBlock appends the candidates of list l's task that lie in the
+// lowest 64-index block of the pool holding any, in ascending order, and
+// reports whether that was all of them. It walks a cursor along each cell
+// run the query overlaps; a run is ascending by pool index, so one block's
+// slots are a prefix of what each cursor has left, and the block's
+// candidates come out of one bitmap word. The cursors with slots left stay
+// in ix.runs for above.
+func (ix *WorkerIndex) firstBlock(l int, adj []int) ([]int, bool) {
+	origin := ix.origins[l]
+	if len(ix.slots) == 0 || !finite(origin.X) || !finite(origin.Y) {
+		return adj, true
+	}
+	cx0, cx1 := ix.axisSpan(origin.X, ix.minX, ix.invX, ix.nx)
+	cy0, cy1 := ix.axisSpan(origin.Y, ix.minY, ix.invY, ix.ny)
+	from := len(ix.runs)
+	next := int32(math.MaxInt32) // smallest pool index a cursor points at
+	for cy := cy0; cy <= cy1; cy++ {
+		row := cy * ix.nx
+		for c := row + cx0; c <= row+cx1; c++ {
+			if at, end := ix.start[c], ix.start[c+1]; at < end {
+				ix.runs = append(ix.runs, cellRun{at, end})
+				next = min(next, ix.slots[at].wi)
+			}
 		}
 	}
-	return g
+	runs, slots := ix.runs[from:], ix.slots
+	for len(runs) > 0 {
+		last := next | 63 // the block of next ends here
+		next = math.MaxInt32
+		var word uint64
+		for k := 0; k < len(runs); {
+			run := slots[runs[k].at:runs[k].end]
+			i := 0
+			for ; i < len(run) && run[i].wi <= last; i++ {
+				if origin.SqDist(run[i].loc) <= run[i].r2 {
+					word |= 1 << (uint(run[i].wi) & 63)
+				}
+			}
+			if i == len(run) {
+				runs[k] = runs[len(runs)-1]
+				runs = runs[:len(runs)-1]
+				continue
+			}
+			runs[k].at += int32(i)
+			next = min(next, run[i].wi)
+			k++
+		}
+		if word != 0 {
+			base := int(last &^ 63)
+			for ; word != 0; word &= word - 1 {
+				adj = append(adj, base+bits.TrailingZeros64(word))
+			}
+			break
+		}
+	}
+	ix.runs = ix.runs[:from+len(runs)]
+	ix.resume[l] = runSpan{int32(from), int32(len(runs))}
+	return adj, len(runs) == 0
+}
+
+// above appends, in ascending order, every candidate of list l's task past
+// the block that ends adj: the rest of the list firstBlock began, read from
+// the cursors it left.
+func (ix *WorkerIndex) above(l int, adj []int) []int {
+	origin := ix.origins[l]
+	from := len(adj)
+	span := ix.resume[l]
+	for _, r := range ix.runs[span.at : span.at+span.n] {
+		run := ix.slots[r.at:r.end]
+		for k := range run {
+			s := &run[k]
+			if origin.SqDist(s.loc) <= s.r2 {
+				adj = append(adj, int(s.wi))
+			}
+		}
+	}
+	ix.ascending(adj[from:])
+	return adj
 }
 
 // resize returns p with length n, reusing capacity; contents are unspecified.

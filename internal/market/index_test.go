@@ -145,12 +145,24 @@ func indexShapes() []indexShape {
 			}
 			return uniformTasks(rng, 10, 0, 100), workers
 		}},
+		// Either side of eagerPool: a saturated window's pool, built at
+		// once, and one worker more than two blocks, built lazily.
+		{"dense-window", func(rng *rand.Rand) ([]Task, []Worker) {
+			return uniformTasks(rng, 600, 0, 100), uniformWorkers(rng, 100, 0, 100, 14)
+		}},
+		{"two-blocks-and-one", func(rng *rand.Rand) ([]Task, []Worker) {
+			return uniformTasks(rng, 200, 0, 100), uniformWorkers(rng, eagerPool+1, 0, 100, 30)
+		}},
 	}
 }
 
 // TestWorkerIndexEqualsPairwise pins the worker index to recomputation: for
 // every shape, through both entry points and over one long-lived index, the
 // graph must equal the O(n*m) BuildBipartite edge for edge, in order.
+//
+// The graph is lazy, so each task's list is first read the way a search
+// reads it: up to a random position, through match.Incremental. Then every
+// list is read to the end.
 func TestWorkerIndexEqualsPairwise(t *testing.T) {
 	entry := map[string]func(*WorkerIndex, []Worker){
 		"Reindex": (*WorkerIndex).Reindex,
@@ -166,6 +178,7 @@ func TestWorkerIndexEqualsPairwise(t *testing.T) {
 				index(&ix, workers)
 				got := ix.BuildGraphInto(tasks, g)
 				want := BuildBipartite(tasks, workers)
+				readPrefixes(t, shape.name, rng, got, want)
 				if shape.name == "non-finite" || shape.name == "all-non-finite" {
 					for ti := range tasks {
 						if !finite(tasks[ti].Origin.X) || !finite(tasks[ti].Origin.Y) {
@@ -180,6 +193,50 @@ func TestWorkerIndexEqualsPairwise(t *testing.T) {
 				sameGraph(t, round, got, want)
 			}
 		})
+	}
+}
+
+// readPrefixes reads a random-length prefix of each of got's lists through
+// an augmenting-path search and checks it against want's list. With only
+// want's entries from position k on in service, a search from the task
+// stops at the first of them its list holds, which is want's entry k
+// exactly when the prefix through it comes in want's order. On a lazy
+// graph the search must have materialised at least k+1 entries and at most
+// the whole list; a graph over a small pool is built eagerly and has
+// materialised everything already.
+func readPrefixes(t *testing.T, shape string, rng *rand.Rand, got, want *match.Graph) {
+	t.Helper()
+	lazy := got.NumEdges() < want.NumEdges()
+	inc := match.NewIncremental(got)
+	for r := 0; r < got.NRight(); r++ {
+		inc.RemoveRight(r)
+	}
+	for ti := 0; ti < got.NLeft(); ti++ {
+		wl := want.Adj(ti)
+		before := got.NumEdges()
+		if len(wl) == 0 {
+			if inc.TryAugment(ti) || got.NumEdges() != before {
+				t.Fatalf("%s: task %d has no candidates, yet its search read %d entries",
+					shape, ti, got.NumEdges()-before)
+			}
+			continue
+		}
+		k := rng.Intn(len(wl))
+		for _, r := range wl[k:] {
+			inc.RestoreRight(r)
+		}
+		if !inc.TryAugment(ti) || inc.Matching().LeftTo[ti] != wl[k] {
+			t.Fatalf("%s: task %d's search matched %d, want entry %d of %v",
+				shape, ti, inc.Matching().LeftTo[ti], k, wl)
+		}
+		if read := got.NumEdges() - before; lazy && (read < k+1 || read > len(wl)) {
+			t.Fatalf("%s: task %d's search to entry %d materialised %d of %d entries",
+				shape, ti, k, read, len(wl))
+		}
+		inc.Release(ti)
+		for _, r := range wl[k:] {
+			inc.RemoveRight(r)
+		}
 	}
 }
 

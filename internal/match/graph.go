@@ -8,15 +8,36 @@
 // package is agnostic to that interpretation.
 package match
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Graph is a bipartite graph with nLeft left vertices and nRight right
 // vertices, stored as left adjacency lists. The zero value is an empty graph
 // with no vertices; use NewGraph for sized construction.
+//
+// A graph is eager (every list is built by AddEdge) or, after ResetLazy,
+// lazy: each list is a memoised prefix that a Source extends on demand.
+// Adj and everything built on it see the complete list either way; only the
+// augmenting-path searches of Incremental read a lazy list one extension at
+// a time, so a search that stops early never pays for the rest.
 type Graph struct {
 	nLeft, nRight int
 	adj           [][]int // adj[l] = right neighbors of left vertex l
-	edges         int
+	edges         int     // entries materialised in adj
+	src           Source  // nil for an eager graph
+	open          []bool  // lazy graphs: open[l] while l's list may grow
+}
+
+// Source enumerates the adjacency lists of a lazy graph.
+type Source interface {
+	// Extend appends to adj, which holds the part of left vertex l's list
+	// materialised so far, the list's next entries: at least one unless
+	// none remain. It reports whether the list is now complete. The
+	// entries and their order must not depend on how the list was split
+	// into extensions.
+	Extend(l int, adj []int) ([]int, bool)
 }
 
 // NewGraph returns an empty bipartite graph with the given side sizes.
@@ -48,6 +69,43 @@ func (g *Graph) Reset(nLeft, nRight int) {
 	}
 	g.nLeft, g.nRight = nLeft, nRight
 	g.edges = 0
+	g.src = nil
+}
+
+// ResetLazy re-dimensions g like Reset, then makes it lazy: every list is
+// empty and open, and src fills it in as it is read. The graph reads src
+// until the next Reset or ResetLazy, so src must keep answering for this
+// graph until then.
+func (g *Graph) ResetLazy(nLeft, nRight int, src Source) {
+	g.Reset(nLeft, nRight)
+	g.src = src
+	g.open = slices.Grow(g.open[:0], nLeft)[:nLeft]
+	for l := range g.open {
+		g.open[l] = true
+	}
+}
+
+// more extends left vertex l's list once, if it is still open, and returns
+// the entries the extension added; nil when the list is complete.
+// Incremental's searches call it when they have read every entry
+// materialised so far, so on an eager graph it costs one branch per
+// exhausted list.
+func (g *Graph) more(l int) []int {
+	if g.src == nil || !g.open[l] {
+		return nil
+	}
+	return g.extend(l)
+}
+
+// extend asks the source for the next entries of open list l and returns
+// them.
+func (g *Graph) extend(l int) []int {
+	n := len(g.adj[l])
+	adj, done := g.src.Extend(l, g.adj[l])
+	g.adj[l] = adj
+	g.edges += len(adj) - n
+	g.open[l] = !done
+	return adj[n:]
 }
 
 // NLeft returns the number of left vertices.
@@ -56,30 +114,41 @@ func (g *Graph) NLeft() int { return g.nLeft }
 // NRight returns the number of right vertices.
 func (g *Graph) NRight() int { return g.nRight }
 
-// NumEdges returns the number of edges.
+// NumEdges returns the number of adjacency entries materialised so far:
+// every edge of an eager graph, and of a lazy one the entries its readers
+// have asked for.
 func (g *Graph) NumEdges() int { return g.edges }
 
 // AddEdge inserts the edge (l, r). Duplicate edges are allowed but useless;
 // callers are expected to add each pair once. It panics on out-of-range
-// endpoints.
+// endpoints and on a lazy graph, whose edges only its source adds.
 func (g *Graph) AddEdge(l, r int) {
 	if l < 0 || l >= g.nLeft || r < 0 || r >= g.nRight {
 		panic(fmt.Sprintf("match: edge (%d,%d) out of range %dx%d", l, r, g.nLeft, g.nRight))
+	}
+	if g.src != nil {
+		panic("match: AddEdge on a lazy graph")
 	}
 	g.adj[l] = append(g.adj[l], r)
 	g.edges++
 }
 
-// Adj returns the right neighbors of left vertex l. The returned slice is
-// owned by the graph and must not be modified.
-func (g *Graph) Adj(l int) []int { return g.adj[l] }
+// Adj returns the right neighbors of left vertex l, materialising the rest
+// of a lazy list first. The returned slice is owned by the graph and must
+// not be modified.
+func (g *Graph) Adj(l int) []int {
+	for g.src != nil && g.open[l] {
+		g.extend(l)
+	}
+	return g.adj[l]
+}
 
 // HasEdge reports whether the edge (l, r) exists. O(deg(l)).
 func (g *Graph) HasEdge(l, r int) bool {
 	if l < 0 || l >= g.nLeft {
 		return false
 	}
-	for _, x := range g.adj[l] {
+	for _, x := range g.Adj(l) {
 		if x == r {
 			return true
 		}
@@ -96,7 +165,7 @@ func (g *Graph) InducedLeft(keep []int) (*Graph, []int) {
 	origin := make([]int, len(keep))
 	for i, l := range keep {
 		origin[i] = l
-		for _, r := range g.adj[l] {
+		for _, r := range g.Adj(l) {
 			sub.AddEdge(i, r)
 		}
 	}

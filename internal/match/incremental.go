@@ -156,34 +156,47 @@ func (in *Incremental) CanAugmentAny(candidates []int) bool {
 	return false
 }
 
-// dfs searches for an augmenting path from l and flips it when found.
+// dfs searches for an augmenting path from l and flips it when found. It
+// walks l's list as materialised so far and extends a lazy one only when it
+// has read every entry, so the search reads the complete list's entries in
+// the same order and stops as early as ever.
 func (in *Incremental) dfs(l int) bool {
-	for _, r := range in.g.Adj(l) {
-		if in.skip(r) {
-			continue
+	adj := in.g.adj[l]
+	for {
+		for _, r := range adj {
+			if in.skip(r) {
+				continue
+			}
+			in.visited[r] = in.stamp
+			if in.m.RightTo[r] < 0 || in.dfs(in.m.RightTo[r]) {
+				in.m.LeftTo[l] = r
+				in.m.RightTo[r] = l
+				return true
+			}
 		}
-		in.visited[r] = in.stamp
-		if in.m.RightTo[r] < 0 || in.dfs(in.m.RightTo[r]) {
-			in.m.LeftTo[l] = r
-			in.m.RightTo[r] = l
-			return true
+		if adj = in.g.more(l); adj == nil {
+			return false
 		}
 	}
-	return false
 }
 
 // probe is dfs without committing the flip.
 func (in *Incremental) probe(l int) bool {
-	for _, r := range in.g.Adj(l) {
-		if in.skip(r) {
-			continue
+	adj := in.g.adj[l]
+	for {
+		for _, r := range adj {
+			if in.skip(r) {
+				continue
+			}
+			in.visited[r] = in.stamp
+			if in.m.RightTo[r] < 0 || in.probe(in.m.RightTo[r]) {
+				return true
+			}
 		}
-		in.visited[r] = in.stamp
-		if in.m.RightTo[r] < 0 || in.probe(in.m.RightTo[r]) {
-			return true
+		if adj = in.g.more(l); adj == nil {
+			return false
 		}
 	}
-	return false
 }
 
 // Release unmatches left vertex l if matched, freeing its worker. The

@@ -202,6 +202,12 @@ func diffGraph(rng *rand.Rand) *Graph {
 //
 // Dropping it from RestorePair passes: a pair can only be installed on a
 // free right vertex, which no closed region contains.
+//
+// Each trial also runs the sequence over a lazy copy of the graph whose
+// source releases one entry or a random-sized chunk per extension, so the
+// searches must find the same paths whether a list is read all at once or
+// grown under them. A Reset that keeps the graph keeps the lazy copy and
+// its memo, as the window executor does when it reuses a graph.
 func TestIncrementalEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 2000; trial++ {
@@ -209,6 +215,9 @@ func TestIncrementalEqualsReference(t *testing.T) {
 		got := NewIncremental(g)
 		want := &refIncremental{}
 		want.Reset(g)
+		chunks := rand.New(rand.NewSource(int64(trial)))
+		lg := lazyCopy(g, chunks)
+		lazy := NewIncremental(lg)
 		anyLeft := func() int { return rng.Intn(g.NLeft()+2) - 1 }
 		anyRight := func() int { return rng.Intn(g.NRight()+2) - 1 }
 		candidates := func() []int {
@@ -220,56 +229,101 @@ func TestIncrementalEqualsReference(t *testing.T) {
 		}
 		for step := 0; step < 80; step++ {
 			var op string
-			var a, b any
+			var a, b, c any
 			switch rng.Intn(12) {
 			case 0, 1:
 				l := anyLeft()
-				op, a, b = "TryAugment", got.TryAugment(l), want.TryAugment(l)
+				op, a, b, c = "TryAugment", got.TryAugment(l), want.TryAugment(l), lazy.TryAugment(l)
 			case 2, 3:
-				c := candidates()
-				op, a, b = "TryAugmentAny", got.TryAugmentAny(c), want.TryAugmentAny(c)
+				ls := candidates()
+				op, a, b, c = "TryAugmentAny", got.TryAugmentAny(ls), want.TryAugmentAny(ls), lazy.TryAugmentAny(ls)
 			case 4, 5:
-				c := candidates()
-				op, a, b = "CanAugmentAny", got.CanAugmentAny(c), want.CanAugmentAny(c)
+				ls := candidates()
+				op, a, b, c = "CanAugmentAny", got.CanAugmentAny(ls), want.CanAugmentAny(ls), lazy.CanAugmentAny(ls)
 			case 6:
 				r := anyRight()
-				op, a, b = "RemoveRight", got.RemoveRight(r), want.RemoveRight(r)
+				op, a, b, c = "RemoveRight", got.RemoveRight(r), want.RemoveRight(r), lazy.RemoveRight(r)
 			case 7:
 				r := anyRight()
-				op, a, b = "RestoreRight", got.RestoreRight(r), want.RestoreRight(r)
+				op, a, b, c = "RestoreRight", got.RestoreRight(r), want.RestoreRight(r), lazy.RestoreRight(r)
 			case 8, 9:
 				l := anyLeft()
 				got.Release(l)
 				want.Release(l)
+				lazy.Release(l)
 				op = "Release"
 			case 10:
 				l, r := anyLeft(), anyRight()
 				if l >= 0 && l < g.NLeft() && len(g.Adj(l)) > 0 && rng.Intn(4) > 0 {
 					r = g.Adj(l)[rng.Intn(len(g.Adj(l)))]
 				}
-				op, a, b = "RestorePair", got.RestorePair(l, r), want.RestorePair(l, r)
+				op, a, b, c = "RestorePair", got.RestorePair(l, r), want.RestorePair(l, r), lazy.RestorePair(l, r)
 			case 11:
 				if rng.Intn(3) > 0 {
 					g = diffGraph(rng)
+					lg = lazyCopy(g, chunks)
 				}
 				got.Reset(g)
 				want.Reset(g)
+				lazy.Reset(lg)
 				op = "Reset"
 			}
 			if a != b {
 				t.Fatalf("trial %d step %d: %s returned %v, reference %v", trial, step, op, a, b)
 			}
-			gm, wm := got.Matching(), want.m
+			if c != b {
+				t.Fatalf("trial %d step %d: %s on the lazy graph returned %v, reference %v", trial, step, op, c, b)
+			}
+			gm, wm, lm := got.Matching(), want.m, lazy.Matching()
 			if !slices.Equal(gm.LeftTo, wm.LeftTo) || !slices.Equal(gm.RightTo, wm.RightTo) {
 				t.Fatalf("trial %d step %d: after %s LeftTo %v RightTo %v, reference %v %v",
 					trial, step, op, gm.LeftTo, gm.RightTo, wm.LeftTo, wm.RightTo)
 			}
+			if !slices.Equal(lm.LeftTo, wm.LeftTo) || !slices.Equal(lm.RightTo, wm.RightTo) {
+				t.Fatalf("trial %d step %d: after %s the lazy graph's LeftTo %v RightTo %v, reference %v %v",
+					trial, step, op, lm.LeftTo, lm.RightTo, wm.LeftTo, wm.RightTo)
+			}
 			for r := -1; r <= g.NRight(); r++ {
-				if got.Removed(r) != want.Removed(r) {
-					t.Fatalf("trial %d step %d: after %s Removed(%d) = %v, reference %v",
-						trial, step, op, r, got.Removed(r), want.Removed(r))
+				if got.Removed(r) != want.Removed(r) || lazy.Removed(r) != want.Removed(r) {
+					t.Fatalf("trial %d step %d: after %s Removed(%d) = %v, lazy %v, reference %v",
+						trial, step, op, r, got.Removed(r), lazy.Removed(r), want.Removed(r))
 				}
 			}
 		}
+		if lg.NumEdges() > g.NumEdges() {
+			t.Fatalf("trial %d: lazy graph materialised %d entries of %d", trial, lg.NumEdges(), g.NumEdges())
+		}
+		for l := 0; l < g.NLeft(); l++ {
+			if !slices.Equal(lg.Adj(l), g.Adj(l)) {
+				t.Fatalf("trial %d: lazy list %d = %v, want %v", trial, l, lg.Adj(l), g.Adj(l))
+			}
+		}
+		if lg.NumEdges() != g.NumEdges() {
+			t.Fatalf("trial %d: fully read lazy graph has %d entries, want %d", trial, lg.NumEdges(), g.NumEdges())
+		}
 	}
+}
+
+// chunkSource feeds a lazy copy of an eager graph: each extension releases
+// the next entry of the eager list, or a chunk of random size.
+type chunkSource struct {
+	full *Graph
+	rng  *rand.Rand
+}
+
+func (s *chunkSource) Extend(l int, adj []int) ([]int, bool) {
+	all := s.full.Adj(l)
+	n := len(adj) + 1
+	if s.rng.Intn(2) == 0 {
+		n += s.rng.Intn(len(all) + 1)
+	}
+	n = min(n, len(all))
+	return append(adj, all[len(adj):n]...), n == len(all)
+}
+
+// lazyCopy returns a lazy graph with g's lists, fed by a chunkSource.
+func lazyCopy(g *Graph, rng *rand.Rand) *Graph {
+	lg := &Graph{}
+	lg.ResetLazy(g.NLeft(), g.NRight(), &chunkSource{full: g, rng: rng})
+	return lg
 }

@@ -143,9 +143,12 @@ func TestLoadgenBinaryCodec(t *testing.T) {
 	cfg.Buffer = 16
 	want := inProcessStats(t, cfg, in, engine.ReplayOpts{})
 
+	// Hundreds of chunks are refused here by design; the default 50 ms
+	// backoff per refusal would make this the slowest test in the suite.
 	srv, err := server.New(server.Config{
-		BusyGrace: -1,
-		Tenants:   []server.TenantConfig{{Name: "lg", Engine: cfg, Codec: "binary"}},
+		BusyGrace:  -1,
+		RetryAfter: time.Millisecond,
+		Tenants:    []server.TenantConfig{{Name: "lg", Engine: cfg, Codec: "binary"}},
 	})
 	if err != nil {
 		t.Fatalf("server.New: %v", err)

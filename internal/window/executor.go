@@ -49,7 +49,9 @@ const (
 	// GraphKD builds the graph from market.WorkerIndex, a bucket grid over
 	// the worker pool itself (the name predates the grid) — the pairwise
 	// scan's edge set and adjacency order, whatever the spatial backend's
-	// cells look like; faster on large pools.
+	// cells look like; faster on large pools. The graph is lazy: a task's
+	// list is enumerated as a search reads it, and the index it reads is
+	// rebuilt only at the next Price or Rebuild.
 	GraphKD
 )
 
@@ -79,7 +81,9 @@ type Priced struct {
 	// GraphTime and ContextTime are the wall time Rebuild spent producing
 	// Graph (cache keys included) and Ctx; PriceTime is the wall time spent
 	// inside Strategy.Prices — the simulator's "running time" metric
-	// excludes the platform's own work.
+	// excludes the platform's own work. A GraphKD graph is lazy, so
+	// GraphTime covers the index rebuild only; each task's candidates are
+	// enumerated inside whichever search reads them first.
 	GraphTime   time.Duration
 	ContextTime time.Duration
 	PriceTime   time.Duration

@@ -18,7 +18,8 @@ import (
 // synthesizes a workload reproducing the published marginals: the same
 // region geometry (converted to kilometres), the same population counts, a
 // rush-hour or late-night temporal profile, hotspot-mixture spatial
-// distributions, and urban-taxi trip lengths. See DESIGN.md §2.
+// distributions, and urban-taxi trip lengths. See EXPERIMENTS.md, "Running
+// the figure experiments", for where it stands in for the Didi data.
 
 // Geometry of the Table 4 rectangle, converted to kilometres at Beijing's
 // latitude (1 deg lat ~ 111.0 km, 1 deg lon ~ 85.2 km at 39.9 N).

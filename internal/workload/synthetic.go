@@ -1,7 +1,7 @@
 // Package workload generates the market instances of the paper's evaluation:
 // the synthetic parameter grid of Table 3 and a Beijing-like taxi workload
-// standing in for the proprietary Didi dataset of Table 4 (see DESIGN.md for
-// the substitution rationale).
+// standing in for the proprietary Didi dataset of Table 4 (see the experiment
+// index in EXPERIMENTS.md for the substitution).
 package workload
 
 import (
