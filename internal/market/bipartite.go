@@ -417,7 +417,9 @@ func (cl *candidateLists) Extend(l int, adj []int) ([]int, bool) {
 // eagerPool is the largest pool whose graphs BuildGraphInto builds at once.
 // Such a pool spans at most two 64-index blocks, so a first extension would
 // read at least half of each list's slots, and a saturated window, which
-// reads every list to the end, would pay for the split.
+// reads every list to the end, would pay for the split. On the dense-grid
+// benchmark (pools of about 100 workers) building lazily as well cost 12 %
+// of its throughput (EXPERIMENTS.md, "Read the graph, don't build it").
 const eagerPool = 2 * 64
 
 // firstBlock appends the candidates of list l's task that lie in the

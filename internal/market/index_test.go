@@ -241,25 +241,57 @@ func readPrefixes(t *testing.T, shape string, rng *rand.Rand, got, want *match.G
 }
 
 // TestWorkerIndexSteadyStateAllocs pins the per-window cost model: once the
-// arenas have seen the pool size, a rebuild plus a graph build allocates
-// nothing.
+// arenas have seen the pool size, a rebuild plus a graph build, with its
+// lists read the way a window reads them, allocates nothing. The large pool
+// builds lazy graphs, the small one eager graphs.
 func TestWorkerIndexSteadyStateAllocs(t *testing.T) {
+	for _, pool := range []struct {
+		workers int
+		radius  float64
+	}{{10000, 6}, {eagerPool, 14}} {
+		steadyStateAllocs(t, pool.workers, pool.radius)
+	}
+}
+
+func steadyStateAllocs(t *testing.T, nw int, radius float64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	tasks := uniformTasks(rng, 100, 0, 100)
-	workers := uniformWorkers(rng, 10000, 0, 100, 6)
+	workers := uniformWorkers(rng, nw, 0, 100, radius)
 	var ix WorkerIndex
 	g := match.NewGraph(0, 0)
+	inc := match.NewIncremental(g)
 	window := func() {
 		// Drift a few workers so consecutive builds differ.
-		for k := 0; k < 200; k++ {
+		for k := 0; k < nw/50; k++ {
 			workers[rng.Intn(len(workers))].Loc = uniformPoint(rng, 0, 100)
 		}
 		ix.Update(workers)
 		ix.BuildGraphInto(tasks, g)
+		// With a random share of the pool out of service, each task's
+		// search reads its list up to the first worker still in it: a
+		// random-length prefix. Then every list is read to the end.
+		inc.Reset(g)
+		out := rng.Float64()
+		for r := range workers {
+			if rng.Float64() < out {
+				inc.RemoveRight(r)
+			}
+		}
+		for ti := range tasks {
+			inc.TryAugment(ti)
+		}
+		for ti := range tasks {
+			g.Adj(ti)
+		}
 	}
-	window()
-	window()
+	// Warm up until every list has reached the longest it gets: a short
+	// list's backing array is often exactly full, so a window that adds one
+	// candidate to it grows it once.
+	for range 50 {
+		window()
+	}
 	if allocs := testing.AllocsPerRun(20, window); allocs != 0 {
-		t.Fatalf("steady-state window allocates %v times, want 0", allocs)
+		t.Fatalf("%d workers: steady-state window allocates %v times, want 0", nw, allocs)
 	}
 }

@@ -49,9 +49,10 @@ const (
 	// GraphKD builds the graph from market.WorkerIndex, a bucket grid over
 	// the worker pool itself (the name predates the grid) — the pairwise
 	// scan's edge set and adjacency order, whatever the spatial backend's
-	// cells look like; faster on large pools. The graph is lazy: a task's
-	// list is enumerated as a search reads it, and the index it reads is
-	// rebuilt only at the next Price or Rebuild.
+	// cells look like; faster on large pools. Over a pool of more than 128
+	// workers the graph is lazy: a task's list is enumerated as a search
+	// reads it, and the index it reads is rebuilt only at the next Price or
+	// Rebuild. Smaller pools get an eager graph.
 	GraphKD
 )
 
@@ -75,7 +76,10 @@ func (e *PriceCountError) Error() string {
 // backed by the executor's arenas and valid until the executor's next
 // Price or Rebuild call.
 type Priced struct {
-	Ctx    *core.PeriodContext
+	Ctx *core.PeriodContext
+	// Graph is the batch graph. Its Adj lists are complete in every mode,
+	// but a lazy GraphKD graph (pools of more than 128 workers) counts in
+	// NumEdges only the entries read so far, not every edge.
 	Graph  *match.Graph
 	Prices []float64
 	// GraphTime and ContextTime are the wall time Rebuild spent producing

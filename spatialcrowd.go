@@ -193,7 +193,10 @@ const (
 	WindowGraphCellIndex = window.GraphCellIndex
 	// WindowGraphKD enumerates candidates through a bucket grid over the
 	// worker pool (the name predates it) — same edge set, faster on large
-	// pools.
+	// pools. Over more than 128 workers each task's candidates are
+	// enumerated as the window's searches read them, so the graph's
+	// NumEdges counts the entries read so far, not every edge; Adj still
+	// returns complete lists.
 	WindowGraphKD = window.GraphKD
 )
 
