@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper's evaluation: every panel of
 // Figures 6–8 and 10 as ASCII tables (or CSV), plus the ablation studies
-// indexed in EXPERIMENTS.md.
+// indexed in EXPERIMENTS.md, and runs the five strategies once on one
+// workload (-exp run) for a quick revenue table.
 //
 // Usage:
 //
@@ -9,6 +10,9 @@
 //	experiments -exp all -scale 20 # everything, populations divided by 20
 //	experiments -exp E5 -csv       # machine-readable output
 //	experiments -exp ablations
+//	experiments -exp run           # one synthetic workload, every strategy
+//	experiments -exp run -workload beijing-rush -duration 15 -scale 10
+//	experiments -exp run -space road -workload beijing-rush -scale 10
 package main
 
 import (
@@ -18,16 +22,24 @@ import (
 	"strings"
 
 	"spatialcrowd/internal/exp"
+	"spatialcrowd/internal/workload"
 )
 
 func main() {
 	var (
-		expID  = flag.String("exp", "", "experiment id (E1..E13, 'all', or 'ablations')")
+		expID  = flag.String("exp", "", "experiment id (E1..E13, 'all', 'ablations', or 'run')")
 		scale  = flag.Int("scale", 1, "divide population sizes by this factor (1 = paper scale)")
 		seed   = flag.Int64("seed", 42, "workload seed")
 		probes = flag.Int("probes", 0, "base-pricing calibration probes per price (0 = full Hoeffding bound)")
 		csv    = flag.Bool("csv", false, "emit CSV instead of tables")
 		list   = flag.Bool("list", false, "list available experiments")
+
+		wl       = flag.String("workload", "synthetic", "-exp run: synthetic | beijing-rush | beijing-night")
+		space    = flag.String("space", "grid", "-exp run: spatial backend, grid | road (road serves the beijing workloads)")
+		workers  = flag.Int("workers", 5000, "-exp run: synthetic worker count |W| (divided by -scale)")
+		requests = flag.Int("requests", 20000, "-exp run: synthetic request count |R| (divided by -scale)")
+		periods  = flag.Int("periods", 400, "-exp run: synthetic period count T")
+		duration = flag.Int("duration", 10, "-exp run: beijing worker duration delta_w")
 	)
 	flag.Parse()
 
@@ -44,8 +56,20 @@ func main() {
 	r.Seed = *seed
 	r.ProbeBudget = *probes
 
-	if strings.EqualFold(*expID, "ablations") {
+	switch strings.ToLower(*expID) {
+	case "ablations":
 		runAblations(r)
+		return
+	case "run":
+		s, err := r.Workload(*space, *wl, workload.SyntheticConfig{
+			Workers: *workers, Requests: *requests, Periods: *periods,
+		}, *duration)
+		fail(err)
+		if *csv {
+			s.WriteCSV(os.Stdout, true)
+		} else {
+			printRun(s)
+		}
 		return
 	}
 
@@ -112,8 +136,22 @@ func printCatalog() {
 		fmt.Printf("  %-4s %s\n", d.id, d.title)
 	}
 	fmt.Println("  all        run every figure experiment")
-	fmt.Println("  ablations  run A1-A6 (oracle demand, no matching, optimality gap,")
-	fmt.Println("             ladder alpha, spatial smoothing, parametric demand)")
+	fmt.Println("  ablations  run A1-A7 (oracle demand, no matching, optimality gap,")
+	fmt.Println("             ladder alpha, spatial smoothing, parametric demand,")
+	fmt.Println("             repositioning)")
+	fmt.Println("  run        every strategy once on one workload (-workload, -space,")
+	fmt.Println("             -workers, -requests, -periods, -duration)")
+}
+
+// printRun renders the one-workload table: revenue and service counts per
+// strategy.
+func printRun(s *exp.Series) {
+	fmt.Printf("%s\n\n", s.Title)
+	fmt.Printf("%-10s %12s %9s %9s %9s\n", "strategy", "revenue", "offered", "accepted", "served")
+	for _, name := range exp.StrategyOrder {
+		res := s.Points[0].Results[name]
+		fmt.Printf("%-10s %12.1f %9d %9d %9d\n", name, res.Revenue, res.Offered, res.Accepted, res.Served)
+	}
 }
 
 func runAblations(r *exp.Runner) {

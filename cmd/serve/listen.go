@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -11,9 +12,10 @@ import (
 	"syscall"
 	"time"
 
+	"spatialcrowd/bench/loadgen"
 	"spatialcrowd/internal/engine"
+	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/server"
-	"spatialcrowd/internal/server/loadgen"
 	"spatialcrowd/internal/spatial"
 )
 
@@ -208,15 +210,9 @@ func runSelftest(o *options) error {
 		base, len(s.in.Tasks), len(s.in.Workers), s.in.Periods, o.genChunk,
 		strings.Join(codecs, "+"), primary)
 
-	reps := make(map[string]loadgen.Report, len(codecs))
+	reps := make(map[string]*loadgen.Report, len(codecs))
 	for _, c := range codecs {
-		rep, err := loadgen.Run(loadgen.Config{
-			BaseURL:     base,
-			Tenant:      "selftest-" + c,
-			Codec:       c,
-			ChunkEvents: o.genChunk,
-			Window:      o.window,
-		}, s.in)
+		rep, err := postTrace(base+"/v1/selftest-"+c+"/ingest", c, s.in, o.window, o.genChunk)
 		if err != nil {
 			return fmt.Errorf("load generator (%s): %w", c, err)
 		}
@@ -232,26 +228,62 @@ func runSelftest(o *options) error {
 		return err
 	}
 
+	rate := make(map[string]float64, len(codecs))
 	for _, c := range codecs {
 		t, _ := srv.Tenant("selftest-" + c)
 		st := t.Engine().Stats()
 		rep := reps[c]
+		took := time.Duration(rep.Acked[len(rep.Acked)-1])
+		rate[c] = float64(rep.Accepted) / took.Seconds()
 		fmt.Printf("selftest[%s]: %d events over loopback in %v (%.0f events/s, %d posts, %d rejections)\n",
-			c, rep.Events, rep.Duration.Round(time.Millisecond), rep.EventsPerSec, rep.Posts, rep.Rejections)
+			c, rep.Accepted, took.Round(time.Millisecond), rate[c], rep.Posts, rep.Busy)
 		fmt.Printf("selftest[%s]: revenue http=%.6f in-process=%.6f, served %d/%d\n",
 			c, st.Revenue, refStats.Revenue, st.Served, refStats.Served)
-		if int64(rep.Events) != st.Events {
-			return fmt.Errorf("selftest[%s]: loadgen sent %d events, engine counted %d", c, rep.Events, st.Events)
+		if int64(rep.Accepted) != st.Events {
+			return fmt.Errorf("selftest[%s]: loadgen sent %d events, engine counted %d", c, rep.Accepted, st.Events)
 		}
 		if st.Revenue != refStats.Revenue || st.Served != refStats.Served {
 			return fmt.Errorf("selftest[%s]: HTTP-ingested run diverged from in-process replay: revenue %.9f vs %.9f, served %d vs %d",
 				c, st.Revenue, refStats.Revenue, st.Served, refStats.Served)
 		}
 	}
-	if j, b := reps["json"], reps["binary"]; j.EventsPerSec > 0 {
-		fmt.Printf("selftest: binary/json ingest speedup %.2fx (%s is the -codec primary)\n",
-			b.EventsPerSec/j.EventsPerSec, primary)
-	}
+	fmt.Printf("selftest: binary/json ingest speedup %.2fx (%s is the -codec primary)\n",
+		rate["binary"]/rate["json"], primary)
 	fmt.Println("selftest: PASS (both codecs, exact revenue match, clean drain)")
 	return nil
+}
+
+// postTrace streams the instance's canonical event order
+// (engine.StreamEvents, the order of the in-process replay) to an ingest
+// URL in chunk-event bodies of the named codec, through the benchmark's
+// closed-loop load generator: one POST at a time, each resumed after a 429
+// from the server's accepted count, so no event is lost or duplicated.
+func postTrace(url, codec string, in *market.Instance, window, chunk int) (*loadgen.Report, error) {
+	cd, err := loadgen.CodecByName(codec)
+	if err != nil {
+		return nil, err
+	}
+	t := &loadgen.HTTPTarget{Client: &http.Client{}, URL: url, Codec: cd}
+	var evs []engine.Event
+	flush := func() error {
+		if len(evs) == 0 {
+			return nil
+		}
+		body, err := cd.Encode(nil, evs)
+		t.Bodies, t.Counts, evs = append(t.Bodies, body), append(t.Counts, len(evs)), evs[:0]
+		return err
+	}
+	err = engine.StreamEvents(in, window, engine.ReplayOpts{}, func(ev engine.Event) error {
+		if evs = append(evs, ev); len(evs) == chunk {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return loadgen.Run(loadgen.Plan{Chunks: len(t.Bodies)}, t)
 }

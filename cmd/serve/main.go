@@ -34,34 +34,22 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
 
 	"spatialcrowd/internal/core"
 	"spatialcrowd/internal/engine"
+	"spatialcrowd/internal/exp"
 	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/server"
 	"spatialcrowd/internal/spatial"
 	"spatialcrowd/internal/wal"
 	"spatialcrowd/internal/workload"
 )
-
-// spaceBackends lists the known -space values; flag validation reports them
-// on a typo so the operator never has to read the source to find the set.
-var spaceBackends = []string{"grid", "road"}
-
-type modelOracle struct {
-	model market.ValuationModel
-	rng   *rand.Rand
-}
-
-func (o *modelOracle) Probe(cell int, price float64) bool {
-	return price <= o.model.Dist(cell).Sample(o.rng)
-}
 
 // options collects the parsed flags shared by the replay, listen, and
 // selftest modes.
@@ -102,7 +90,7 @@ func main() {
 	flag.IntVar(&o.duration, "duration", 15, "Beijing worker duration delta_w in periods")
 	flag.IntVar(&o.scale, "scale", 1, "divide Beijing population sizes by this factor")
 	flag.StringVar(&o.strategy, "strategy", "maps", "pricing strategy: maps, basep, sdr, sde")
-	flag.StringVar(&o.space, "space", "grid", "spatial backend: "+strings.Join(spaceBackends, " | "))
+	flag.StringVar(&o.space, "space", "grid", "spatial backend: grid | road (road serves the Beijing-like workload, rush unless -beijing night)")
 	flag.IntVar(&o.shards, "shards", 0, "shard goroutines (market partitions); 0 = auto (min(GOMAXPROCS, cells), at least 1)")
 	flag.IntVar(&o.window, "window", 1, "periods per pricing batch")
 	flag.BoolVar(&o.det, "det", false, "deterministic inline engine: one shard in the caller's goroutine (ignores -shards)")
@@ -163,33 +151,46 @@ func main() {
 // backend, and a calibrated per-shard strategy factory.
 type setup struct {
 	in      *market.Instance
-	model   market.ValuationModel
 	sp      spatial.Space
 	factory func(int) core.Strategy
 	pb      float64
 }
 
 func buildSetup(o *options) (*setup, error) {
-	in, model, err := buildInstance(o.space, o.beijing, o.duration, o.scale, o.workers, o.requests, o.periods, o.gridSide, o.seed)
+	name := "synthetic"
+	switch {
+	case o.beijing != "":
+		name = "beijing-" + o.beijing
+	case strings.EqualFold(o.space, "road"):
+		name = "beijing-rush"
+	}
+	in, model, err := workload.Named(o.space, name, workload.SyntheticConfig{
+		Workers: o.workers, Requests: o.requests, Periods: o.periods,
+		GridSide: o.gridSide, Seed: o.seed,
+	}, o.duration, o.scale)
 	if err != nil {
 		return nil, err
 	}
 	sp := in.Spatial()
-
+	switch strings.ToLower(o.strategy) {
+	case "maps", "basep", "sdr", "sde":
+	default:
+		return nil, fmt.Errorf("unknown -strategy %q (want maps, basep, sdr, or sde)", o.strategy)
+	}
 	params := core.DefaultParams()
-	basep, err := core.NewBaseP(params)
+	basep, err := exp.Calibrate(params, model, sp.NumCells(), o.probes, o.seed+1)
 	if err != nil {
 		return nil, err
 	}
-	oracle := &modelOracle{model: model, rng: rand.New(rand.NewSource(o.seed + 1))}
-	if err := basep.Calibrate(oracle, sp.NumCells(), o.probes); err != nil {
-		return nil, err
+	// One private strategy per shard, all sharing the single calibration.
+	factory := func(int) core.Strategy {
+		s, err := exp.NewStrategy(o.strategy, params, basep)
+		if err != nil {
+			fatal(err)
+		}
+		return s
 	}
-	factory, err := strategyFactory(o.strategy, params, basep)
-	if err != nil {
-		return nil, err
-	}
-	return &setup{in: in, model: model, sp: sp, factory: factory, pb: basep.BasePrice()}, nil
+	return &setup{in: in, sp: sp, factory: factory, pb: basep.BasePrice()}, nil
 }
 
 // engineConfig assembles the engine config for -shards (0 = auto-size to
@@ -365,9 +366,16 @@ func runReplay(o *options) error {
 		})
 	}
 
-	mode := fmt.Sprintf("%d shards", cfg.Shards)
-	if cfg.Shards == 0 {
-		mode = "deterministic"
+	// The shard count decides which markets are priced together, so the
+	// banner says where it came from: on auto it follows the host's
+	// GOMAXPROCS, and so does the revenue.
+	mode := fmt.Sprintf("%d shards from -shards %d", cfg.Shards, o.shards)
+	switch {
+	case cfg.Shards == 0:
+		mode = "deterministic, one inline shard from -det"
+	case o.shards == 0:
+		mode = fmt.Sprintf("%d shards from auto: DefaultShards = min(GOMAXPROCS %d, %d cells)",
+			cfg.Shards, runtime.GOMAXPROCS(0), s.sp.NumCells())
 	}
 	fmt.Printf("replaying %d tasks / %d workers / %d periods through %s (%s, window %d, p_b %.2f)\n",
 		len(s.in.Tasks), len(s.in.Workers), s.in.Periods, o.strategy, mode, o.window, s.pb)
@@ -405,92 +413,6 @@ func runReplay(o *options) error {
 		fmt.Printf("road dist    %d cache hits, %d misses\n", hits, misses)
 	}
 	return nil
-}
-
-func buildInstance(space, beijing string, duration, scale, workers, requests, periods, gridSide int, seed int64) (*market.Instance, market.ValuationModel, error) {
-	variant, err := beijingVariant(beijing)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch strings.ToLower(space) {
-	case "grid":
-		if beijing == "" {
-			return workload.Synthetic(workload.SyntheticConfig{
-				Workers: workers, Requests: requests, Periods: periods,
-				GridSide: gridSide, Seed: seed,
-			})
-		}
-		return workload.BeijingLike(workload.BeijingConfig{
-			Variant: variant, WorkerDuration: duration, Scale: scale, Seed: seed,
-		})
-	case "road":
-		// The road backend serves the street-snapped Beijing-like workload
-		// (rush unless -beijing night); synthetic flags don't apply.
-		in, model, _, err := workload.BeijingRoad(workload.RoadConfig{
-			Variant: variant, WorkerDuration: duration, Scale: scale, Seed: seed,
-		})
-		return in, model, err
-	default:
-		return nil, nil, fmt.Errorf("unknown -space backend %q (known backends: %s)",
-			space, strings.Join(spaceBackends, ", "))
-	}
-}
-
-// beijingVariant parses the -beijing flag ("" defaults to rush for -space
-// road and to the synthetic workload for -space grid).
-func beijingVariant(beijing string) (workload.BeijingVariant, error) {
-	switch strings.ToLower(beijing) {
-	case "", "rush":
-		return workload.BeijingRush, nil
-	case "night":
-		return workload.BeijingNight, nil
-	default:
-		return 0, fmt.Errorf("unknown -beijing variant %q (want rush or night)", beijing)
-	}
-}
-
-// strategyFactory builds one private strategy instance per shard, all
-// sharing the single base-pricing calibration.
-func strategyFactory(name string, params core.Params, basep *core.BaseP) (func(int) core.Strategy, error) {
-	pb := basep.BasePrice()
-	switch strings.ToLower(name) {
-	case "maps":
-		return func(int) core.Strategy {
-			m, err := core.NewMAPS(params, pb)
-			if err != nil {
-				fatal(err)
-			}
-			basep.WarmStart(m.CellStats)
-			return m
-		}, nil
-	case "basep":
-		return func(int) core.Strategy {
-			b, err := core.NewBaseP(params)
-			if err != nil {
-				fatal(err)
-			}
-			b.SetBasePrice(pb)
-			return b
-		}, nil
-	case "sdr":
-		return func(int) core.Strategy {
-			s, err := core.NewSDR(params, pb)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}, nil
-	case "sde":
-		return func(int) core.Strategy {
-			s, err := core.NewSDE(params, pb)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown -strategy %q (want maps, basep, sdr, or sde)", name)
-	}
 }
 
 // writeCheckpoint atomically replaces path with a fresh engine checkpoint

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"spatialcrowd/internal/core"
@@ -32,15 +31,6 @@ func (f *fixedPrice) Observe(ctx *core.PeriodContext, prices []float64, accepted
 	f.outcomes = append(f.outcomes, accepted...)
 }
 
-type modelOracle struct {
-	model market.ValuationModel
-	rng   *rand.Rand
-}
-
-func (o *modelOracle) Probe(cell int, price float64) bool {
-	return price <= o.model.Dist(cell).Sample(o.rng)
-}
-
 func testInstance(t testing.TB) (*market.Instance, market.ValuationModel) {
 	t.Helper()
 	in, model, err := workload.Synthetic(workload.SyntheticConfig{
@@ -58,7 +48,7 @@ func calibratedBase(t testing.TB, in *market.Instance, model market.ValuationMod
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := &modelOracle{model: model, rng: rand.New(rand.NewSource(3))}
+	oracle := market.NewModelOracle(model, 3)
 	if err := basep.Calibrate(oracle, in.Grid.NumCells(), 100); err != nil {
 		t.Fatal(err)
 	}

@@ -100,10 +100,11 @@ func ReplayWith(e *Engine, in *market.Instance, opts ReplayOpts) (int, error) {
 
 // StreamEvents generates the canonical event stream of a market instance —
 // the exact order ReplayWith submits — and hands each event to emit. This
-// is the single definition of "the trace of an instance": the in-process
-// replay driver and the network load generator (internal/server/loadgen)
-// both consume it, which is what makes HTTP-ingested revenue comparable
-// bit-for-bit against an in-process replay of the same instance.
+// is the single definition of "the trace of an instance": ReplayWith
+// consumes it, and so do the loopback clients that post it through
+// bench/loadgen (cmd/serve -selftest and the server tests), which is what
+// makes HTTP-ingested revenue comparable bit-for-bit against an in-process
+// replay of the same instance.
 //
 // window is the engine's pricing window in periods (Engine.Window); it
 // positions the final flushing Tick past the last window boundary.

@@ -290,12 +290,8 @@ func (r *Runner) AblationLadderAlpha() ([]LadderPoint, error) {
 	for _, a := range alphas {
 		params := r.Sim.Params
 		params.Alpha = a
-		b, err := core.NewBaseP(params)
+		b, err := Calibrate(params, market.UniformModel{D: d}, 1, 0, r.Seed)
 		if err != nil {
-			return nil, err
-		}
-		oracle := &modelOracle{model: market.UniformModel{D: d}, rng: rand.New(rand.NewSource(r.Seed))}
-		if err := b.Calibrate(oracle, 1, 0); err != nil {
 			return nil, err
 		}
 		pm := b.Reserves()[0]

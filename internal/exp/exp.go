@@ -7,7 +7,7 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
+	"strings"
 
 	"spatialcrowd/internal/core"
 	"spatialcrowd/internal/market"
@@ -70,71 +70,111 @@ type Series struct {
 	Points []Point
 }
 
-// modelOracle adapts the hidden valuation model into base pricing's
-// calibration oracle ("requesters who recently have issued tasks").
-type modelOracle struct {
-	model market.ValuationModel
-	rng   *rand.Rand
-}
-
-// Probe implements core.ProbeOracle.
-func (o *modelOracle) Probe(cell int, price float64) bool {
-	return price <= o.model.Dist(cell).Sample(o.rng)
-}
-
-// buildStrategies calibrates base pricing against the model and instantiates
-// the five strategies around the resulting base price.
-func (r *Runner) buildStrategies(model market.ValuationModel, numCells int) ([]core.Strategy, float64, error) {
-	params := r.Sim.Params
+// Calibrate runs base pricing's calibration (Algorithm 1) over numCells
+// cells against the hidden valuation model, probing each ladder price
+// probes times per cell (0 = the full Hoeffding h(p)). The calibrated BaseP
+// fixes p_b and holds the observations the UCB learners warm-start from.
+func Calibrate(params core.Params, model market.ValuationModel, numCells, probes int, seed int64) (*core.BaseP, error) {
 	basep, err := core.NewBaseP(params)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	oracle := &modelOracle{model: model, rng: rand.New(rand.NewSource(r.Seed + 1))}
-	if err := basep.Calibrate(oracle, numCells, r.ProbeBudget); err != nil {
-		return nil, 0, err
+	if err := basep.Calibrate(market.NewModelOracle(model, seed), numCells, probes); err != nil {
+		return nil, err
 	}
-	pb := basep.BasePrice()
+	return basep, nil
+}
 
-	maps, err := core.NewMAPS(params, pb)
+// NewStrategy builds a fresh instance of the named strategy (one of
+// StrategyOrder, any case) around the calibrated base: BaseP is a new copy
+// priced at p_b, and the UCB learners (MAPS, CappedUCB) continue from the
+// calibration statistics base pricing paid for rather than cold. Every call
+// returns a private instance, so it also serves as a per-shard factory.
+func NewStrategy(name string, params core.Params, base *core.BaseP) (core.Strategy, error) {
+	pb := base.BasePrice()
+	switch strings.ToLower(name) {
+	case "maps":
+		m, err := core.NewMAPS(params, pb)
+		if err != nil {
+			return nil, err
+		}
+		base.WarmStart(m.CellStats)
+		return m, nil
+	case "basep":
+		b, err := core.NewBaseP(params)
+		if err != nil {
+			return nil, err
+		}
+		b.SetBasePrice(pb)
+		return b, nil
+	case "sdr":
+		return core.NewSDR(params, pb)
+	case "sde":
+		return core.NewSDE(params, pb)
+	case "cappeducb":
+		c, err := core.NewCappedUCB(params, pb)
+		if err != nil {
+			return nil, err
+		}
+		base.WarmStart(c.CellStats)
+		return c, nil
+	}
+	return nil, fmt.Errorf("exp: unknown strategy %q (want one of %s)", name, strings.Join(StrategyOrder, ", "))
+}
+
+// buildStrategies calibrates base pricing against the model and builds the
+// five strategies of StrategyOrder around the resulting base price.
+func (r *Runner) buildStrategies(model market.ValuationModel, numCells int) ([]core.Strategy, float64, error) {
+	params := r.Sim.Params
+	basep, err := Calibrate(params, model, numCells, r.ProbeBudget, r.Seed+1)
 	if err != nil {
 		return nil, 0, err
 	}
-	sdr, err := core.NewSDR(params, pb)
-	if err != nil {
-		return nil, 0, err
+	out := make([]core.Strategy, len(StrategyOrder))
+	for i, name := range StrategyOrder {
+		if out[i], err = NewStrategy(name, params, basep); err != nil {
+			return nil, 0, err
+		}
 	}
-	sde, err := core.NewSDE(params, pb)
-	if err != nil {
-		return nil, 0, err
-	}
-	cucb, err := core.NewCappedUCB(params, pb)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The platform keeps the observations base pricing paid for: both UCB
-	// learners continue from the calibration statistics rather than cold.
-	basep.WarmStart(maps.CellStats)
-	basep.WarmStart(cucb.CellStats)
-	return []core.Strategy{maps, basep, sdr, sde, cucb}, pb, nil
+	return out, basep.BasePrice(), nil
 }
 
 // runInstance executes all strategies on one instance and returns results
-// keyed by strategy name.
-func (r *Runner) runInstance(in *market.Instance, model market.ValuationModel) (map[string]sim.Result, error) {
-	strategies, _, err := r.buildStrategies(model, in.Grid.NumCells())
+// keyed by strategy name, plus the calibrated base price.
+func (r *Runner) runInstance(in *market.Instance, model market.ValuationModel) (map[string]sim.Result, float64, error) {
+	strategies, pb, err := r.buildStrategies(model, in.Spatial().NumCells())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out := make(map[string]sim.Result, len(strategies))
 	for _, s := range strategies {
 		res, err := sim.Run(in, s, r.Sim)
 		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", s.Name(), err)
+			return nil, 0, fmt.Errorf("exp: %s: %w", s.Name(), err)
 		}
 		out[s.Name()] = res
 	}
-	return out, nil
+	return out, pb, nil
+}
+
+// Workload runs the five strategies once on a named workload (see
+// workload.Named) — the per-strategy table of `experiments -exp run`. The
+// runner's Scale divides syn's populations as in the sweeps and its Seed
+// replaces syn's. The series has one point, labelled with the workload's
+// name; its title carries the instance's size and the calibrated p_b.
+func (r *Runner) Workload(space, name string, syn workload.SyntheticConfig, duration int) (*Series, error) {
+	syn.Workers, syn.Requests, syn.Seed = r.scaled(syn.Workers), r.scaled(syn.Requests), r.Seed
+	in, model, err := workload.Named(space, name, syn, duration, r.Scale)
+	if err != nil {
+		return nil, err
+	}
+	results, pb, err := r.runInstance(in, model)
+	if err != nil {
+		return nil, err
+	}
+	title := fmt.Sprintf("workload %s (%s): |W|=%d |R|=%d T=%d G=%d, p_b = %.4f", name, space,
+		len(in.Workers), len(in.Tasks), in.Periods, in.Spatial().NumCells(), pb)
+	return &Series{ID: "run", Title: title, Param: "workload", Points: []Point{{Label: name, Results: results}}}, nil
 }
 
 // sweepSynthetic runs one synthetic sweep: for each tick, mutate the default
@@ -154,7 +194,7 @@ func (r *Runner) sweepSynthetic(id, title, param string, ticks []string,
 		if err != nil {
 			return nil, fmt.Errorf("exp %s tick %s: %w", id, tick, err)
 		}
-		results, err := r.runInstance(in, model)
+		results, _, err := r.runInstance(in, model)
 		if err != nil {
 			return nil, fmt.Errorf("exp %s tick %s: %w", id, tick, err)
 		}

@@ -127,7 +127,7 @@ func (r *Runner) beijingSweep(id, title string, variant workload.BeijingVariant)
 		if err != nil {
 			return nil, err
 		}
-		results, err := r.runInstance(in, model)
+		results, _, err := r.runInstance(in, model)
 		if err != nil {
 			return nil, err
 		}

@@ -63,12 +63,6 @@ func (w Worker) ActiveAt(t int) bool {
 	return t >= w.Period && t < w.Period+d
 }
 
-// CanServe reports whether the worker's range constraint admits the task:
-// the task origin lies in the closed disk of radius a_w around l_w.
-func (w Worker) CanServe(task Task) bool {
-	return task.Origin.InRange(w.Loc, w.Radius)
-}
-
 // Accepts reports the requester's decision for a unit price: accept iff
 // p <= v_r (Section 2.2: the accepting tasks are those with p_r <= v_r).
 func (t Task) Accepts(price float64) bool { return price <= t.Valuation }
@@ -170,11 +164,22 @@ func (m PerCellModel) Dist(cell int) stats.Dist {
 	return m.Default
 }
 
-// AssignValuations samples a private valuation for every task from the
-// model's per-cell distribution, mutating tasks in place.
-func AssignValuations(tasks []Task, space spatial.Space, model ValuationModel, rng *rand.Rand) {
-	for i := range tasks {
-		cell := space.CellOf(tasks[i].Origin)
-		tasks[i].Valuation = model.Dist(cell).Sample(rng)
-	}
+// ModelOracle answers base pricing's calibration probes from the hidden
+// valuation model, standing in for the paper's recent requesters:
+// a probe at price p in a cell accepts when a fresh valuation draw from that
+// cell's distribution is at least p. It satisfies core.ProbeOracle.
+type ModelOracle struct {
+	model ValuationModel
+	rng   *rand.Rand
+}
+
+// NewModelOracle returns a probe oracle over model with its own
+// deterministic random stream.
+func NewModelOracle(model ValuationModel, seed int64) *ModelOracle {
+	return &ModelOracle{model: model, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Probe offers price to one fresh requester in cell.
+func (o *ModelOracle) Probe(cell int, price float64) bool {
+	return price <= o.model.Dist(cell).Sample(o.rng)
 }

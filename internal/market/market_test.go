@@ -143,22 +143,6 @@ func TestBuildBipartiteIndexedMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAssignValuations(t *testing.T) {
-	grid := geo.SquareGrid(10, 2)
-	tasks := []Task{
-		{Origin: geo.Point{X: 1, Y: 1}},
-		{Origin: geo.Point{X: 9, Y: 9}},
-	}
-	model := PerCellModel{
-		Cells:   map[int]stats.Dist{0: stats.PointMass{V: 2}},
-		Default: stats.PointMass{V: 4},
-	}
-	AssignValuations(tasks, grid, model, rand.New(rand.NewSource(1)))
-	if tasks[0].Valuation != 2 || tasks[1].Valuation != 4 {
-		t.Errorf("valuations %v/%v, want 2/4", tasks[0].Valuation, tasks[1].Valuation)
-	}
-}
-
 func TestUniformModel(t *testing.T) {
 	m := UniformModel{D: stats.PointMass{V: 3}}
 	if m.Dist(0) != m.Dist(99) {

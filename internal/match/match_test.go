@@ -220,56 +220,6 @@ func TestMaxWeightByLeftVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestMaxWeightGeneralVsBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(321))
-	for trial := 0; trial < 300; trial++ {
-		nl := 1 + rng.Intn(6)
-		nr := 1 + rng.Intn(6)
-		wg := NewWeightedGraph(nl, nr)
-		wmap := map[[2]int]float64{}
-		for l := 0; l < nl; l++ {
-			for r := 0; r < nr; r++ {
-				if rng.Float64() < 0.45 {
-					w := rng.Float64() * 10
-					wg.AddEdge(l, r, w)
-					wmap[[2]int{l, r}] = w
-				}
-			}
-		}
-		m, total := MaxWeightGeneral(wg)
-		if err := m.Validate(wg.Graph()); err != nil {
-			t.Fatal(err)
-		}
-		// Re-derive the total from the matching itself.
-		derived := 0.0
-		for l, r := range m.LeftTo {
-			if r >= 0 {
-				derived += wmap[[2]int{l, r}]
-			}
-		}
-		if math.Abs(derived-total) > 1e-6 {
-			t.Fatalf("trial %d: reported %v but matching weighs %v", trial, total, derived)
-		}
-		want := bruteMaxWeight(wg.Graph(), func(l, r int) float64 { return wmap[[2]int{l, r}] })
-		if math.Abs(total-want) > 1e-6 {
-			t.Fatalf("trial %d: SSP %v, brute force %v", trial, total, want)
-		}
-	}
-}
-
-func TestMaxWeightGeneralPrefersWeightOverCardinality(t *testing.T) {
-	// l0-r0 w=10; l1-r0 w=1, l1-r1 w=1: either {l0-r0, l1-r1} = 11.
-	// But with l1-r1 absent, {l0-r0} (weight 10) beats {l1-r0 + nothing}=1
-	// and also beats matching both via any other combination.
-	wg := NewWeightedGraph(2, 1)
-	wg.AddEdge(0, 0, 10)
-	wg.AddEdge(1, 0, 1)
-	m, total := MaxWeightGeneral(wg)
-	if total != 10 || m.LeftTo[0] != 0 || m.LeftTo[1] != -1 {
-		t.Errorf("total=%v matching=%v; want only the weight-10 edge", total, m.LeftTo)
-	}
-}
-
 func TestIncrementalPaperWalkthrough(t *testing.T) {
 	// Example 5, iterations 17-18: grid 9 admits r1 (matched to w1), then
 	// "there is no augmenting path for r2 in grid 9"; grid 11 admits r3.

@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -65,166 +64,4 @@ func MaxWeightByLeftScratch(g *Graph, weight []float64, sc *MaxWeightScratch) (*
 		}
 	}
 	return inc.Matching(), total
-}
-
-// WeightedGraph is a bipartite graph with a float64 weight per edge.
-type WeightedGraph struct {
-	g *Graph
-	w [][]float64 // parallel to g.adj
-}
-
-// NewWeightedGraph returns an empty weighted bipartite graph.
-func NewWeightedGraph(nLeft, nRight int) *WeightedGraph {
-	return &WeightedGraph{g: NewGraph(nLeft, nRight), w: make([][]float64, nLeft)}
-}
-
-// Graph returns the underlying unweighted graph.
-func (wg *WeightedGraph) Graph() *Graph { return wg.g }
-
-// AddEdge inserts edge (l, r) with weight w.
-func (wg *WeightedGraph) AddEdge(l, r int, w float64) {
-	wg.g.AddEdge(l, r)
-	wg.w[l] = append(wg.w[l], w)
-}
-
-// Weight returns the weight of the i-th edge out of l (parallel to Adj).
-func (wg *WeightedGraph) Weight(l, i int) float64 { return wg.w[l][i] }
-
-// MaxWeightGeneral computes an exact maximum-weight bipartite matching for
-// arbitrary non-negative edge weights with the Hungarian algorithm
-// (Kuhn–Munkres with potentials, O(L^2 * (L + R))). The matching may leave
-// vertices unmatched whenever that increases total weight; zero-weight
-// "dummy" columns encode the unmatched option.
-//
-// This is the reference solver for Definition 5 when edge weights are not
-// determined by the task alone. For the common left-weighted case prefer
-// MaxWeightByLeft, which is asymptotically faster and allocation-free per
-// edge. MaxWeightGeneral materializes a dense L x (R + L) cost matrix, so it
-// suits moderate sizes (thousands of vertices), such as per-period matching
-// and the possible-world enumerations.
-func MaxWeightGeneral(wg *WeightedGraph) (*Matching, float64) {
-	g := wg.g
-	nl, nr := g.NLeft(), g.NRight()
-	m := NewMatching(nl, nr)
-	if nl == 0 || nr == 0 || g.NumEdges() == 0 {
-		return m, 0
-	}
-
-	// Dense cost matrix: cost[l][r] = -weight for real edges, 0 otherwise.
-	// Columns nr..nr+nl-1 are dummy columns (cost 0) so every row can always
-	// be "assigned" without stealing a real worker from another task.
-	cols := nr + nl
-	cost := make([][]float64, nl)
-	for l := 0; l < nl; l++ {
-		cost[l] = make([]float64, cols)
-		for i, r := range g.Adj(l) {
-			w := wg.w[l][i]
-			if w > 0 && -w < cost[l][r] {
-				cost[l][r] = -w
-			}
-		}
-	}
-
-	assignment := hungarian(cost)
-
-	total := 0.0
-	for l, r := range assignment {
-		if r < 0 || r >= nr {
-			continue // dummy column: task stays unmatched
-		}
-		if w, ok := findEdgeWeight(wg, l, r); ok && w > 0 {
-			m.LeftTo[l] = r
-			m.RightTo[r] = l
-			total += w
-		}
-	}
-	return m, total
-}
-
-// hungarian solves the rectangular assignment problem min sum cost[i][row(i)]
-// with len(cost) rows and len(cost[0]) >= len(cost) columns, returning the
-// column assigned to each row. Standard O(n^2 m) potential-based
-// implementation (e-maxx formulation, 1-indexed internally).
-func hungarian(cost [][]float64) []int {
-	n := len(cost)
-	if n == 0 {
-		return nil
-	}
-	mcols := len(cost[0])
-	if mcols < n {
-		panic(fmt.Sprintf("match: hungarian needs cols >= rows, got %dx%d", n, mcols))
-	}
-	u := make([]float64, n+1)
-	v := make([]float64, mcols+1)
-	p := make([]int, mcols+1) // p[j] = row assigned to column j (1-based), 0 = none
-	way := make([]int, mcols+1)
-
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, mcols+1)
-		used := make([]bool, mcols+1)
-		for j := range minv {
-			minv[j] = math.Inf(1)
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := math.Inf(1)
-			j1 := 0
-			for j := 1; j <= mcols; j++ {
-				if used[j] {
-					continue
-				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= mcols; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	for j := 1; j <= mcols; j++ {
-		if p[j] > 0 {
-			assign[p[j]-1] = j - 1
-		}
-	}
-	return assign
-}
-
-// findEdgeWeight returns the weight of edge (l, r) and whether it exists.
-func findEdgeWeight(wg *WeightedGraph, l, r int) (float64, bool) {
-	best, found := 0.0, false
-	for i, rr := range wg.g.Adj(l) {
-		if rr == r && (!found || wg.w[l][i] > best) {
-			best, found = wg.w[l][i], true
-		}
-	}
-	return best, found
 }

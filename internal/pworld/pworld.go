@@ -122,18 +122,3 @@ func revenueOf(w *World, accepted []int) float64 {
 	_, total := match.MaxWeightByLeft(sub, weights)
 	return total
 }
-
-// WorldProbability returns Pr[PWB_i] for the world where exactly the tasks
-// in `accepted` (a bitmask) accept — the sampling probability formula of
-// Section 2.2. Exposed for tests and tooling.
-func WorldProbability(w *World, mask uint64) float64 {
-	prob := 1.0
-	for i := 0; i < w.Graph.NLeft(); i++ {
-		if mask&(1<<uint(i)) != 0 {
-			prob *= w.AcceptProb[i]
-		} else {
-			prob *= 1 - w.AcceptProb[i]
-		}
-	}
-	return prob
-}

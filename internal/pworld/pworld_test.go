@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"spatialcrowd/internal/match"
 )
@@ -45,20 +44,13 @@ func TestExpectedRevenueExactPaperExample3(t *testing.T) {
 
 func TestPaperFigure2Worlds(t *testing.T) {
 	// Spot-check individual possible worlds from Figure 2. World 2 is
-	// {r1 accepts, r2/r3 reject}: Pr = 0.5*0.5*0.2 = 0.05, U = 3.9 — the
-	// probability the paper computes explicitly in Example 3.
+	// {r1 accepts, r2/r3 reject}: U = 3.9.
 	w := exampleWorld()
-	if p := WorldProbability(w, 0b001); math.Abs(p-0.05) > 1e-12 {
-		t.Errorf("Pr[only r1] = %v, want 0.05", p)
-	}
 	if u := revenueOf(w, []int{0}); math.Abs(u-3.9) > 1e-9 {
 		t.Errorf("U[only r1] = %v, want 3.9", u)
 	}
-	// All accept: Pr = 0.5*0.5*0.8 = 0.2; w1 serves r1 (3.9), r3 takes
-	// w2/w3 (2.0), r2 is unserved: U = 5.9.
-	if p := WorldProbability(w, 0b111); math.Abs(p-0.2) > 1e-12 {
-		t.Errorf("Pr[all] = %v, want 0.2", p)
-	}
+	// All accept: w1 serves r1 (3.9), r3 takes w2/w3 (2.0), r2 is
+	// unserved: U = 5.9.
 	if u := revenueOf(w, []int{0, 1, 2}); math.Abs(u-5.9) > 1e-9 {
 		t.Errorf("U[all accept] = %v, want 5.9", u)
 	}
@@ -73,25 +65,6 @@ func TestPaperFigure2Worlds(t *testing.T) {
 	// None accept.
 	if u := revenueOf(w, nil); u != 0 {
 		t.Errorf("U[empty] = %v, want 0", u)
-	}
-}
-
-func TestWorldProbabilitiesSumToOne(t *testing.T) {
-	f := func(a, b, c uint8) bool {
-		w := exampleWorld()
-		w.AcceptProb = []float64{
-			float64(a%101) / 100,
-			float64(b%101) / 100,
-			float64(c%101) / 100,
-		}
-		sum := 0.0
-		for mask := uint64(0); mask < 8; mask++ {
-			sum += WorldProbability(w, mask)
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -170,18 +170,12 @@ func (nw *Network) VisitEdges(id NodeID, fn func(to NodeID, w float64)) {
 	}
 }
 
-// BoundedShortestDist runs Dijkstra from a toward b but abandons the search
-// as soon as the frontier exceeds bound: every later pop would only be
-// farther. It returns Unreachable both when no route exists and when the
-// shortest route is longer than bound, so range checks ("is b within r of
-// a?") never pay the full O(V log V) search on a dense network.
-func (nw *Network) BoundedShortestDist(a, b NodeID, bound float64) float64 {
-	d, _ := nw.BoundedShortestDistInfo(a, b, bound)
-	return d
-}
-
-// BoundedShortestDistInfo is BoundedShortestDist distinguishing the two
-// Unreachable outcomes: disconnected is true when the search exhausted a's
+// BoundedShortestDistInfo runs Dijkstra from a toward b but abandons the
+// search as soon as the frontier exceeds bound: every later pop would only
+// be farther, so range checks ("is b within r of a?") never pay the full
+// O(V log V) search on a dense network. It returns Unreachable both when no
+// route exists and when the shortest route is longer than bound, and tells
+// the two apart: disconnected is true when the search exhausted a's
 // component without reaching b — no route exists at ANY distance — and
 // false when the search was merely cut off at bound (the route, if any, is
 // longer than bound). Callers caching negative range checks need the

@@ -13,7 +13,6 @@ import (
 	"spatialcrowd/internal/engine"
 	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/server"
-	"spatialcrowd/internal/server/loadgen"
 	"spatialcrowd/internal/wire"
 	"spatialcrowd/internal/workload"
 )
@@ -132,54 +131,54 @@ func TestBinaryIngestRevenueMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestLoadgenBinaryCodec drives the load generator in binary mode through a
-// deliberately tiny engine buffer with busy grace disabled, so chunks are
-// routinely part-accepted and the generator's byte-offset re-framing resume
-// is exercised for real — and the revenue must still match the in-process
-// replay exactly, with zero loss and zero duplication.
+// TestLoadgenBinaryCodec drives the load generator through a deliberately
+// tiny engine buffer with busy grace disabled, so chunks are routinely
+// part-accepted and the 429 resume is exercised for real in both codecs:
+// the binary leg re-frames the tail at an event's byte offset, the NDJSON leg
+// cuts it at a line. Either way the revenue must still match the
+// in-process replay exactly, with zero loss and zero duplication.
 func TestLoadgenBinaryCodec(t *testing.T) {
 	in := testInstance(t, 3000, 900, 100)
 	cfg := flatEngineConfig(in, 4)
 	cfg.Buffer = 16
 	want := inProcessStats(t, cfg, in, engine.ReplayOpts{})
 
-	// Hundreds of chunks are refused here by design; the default 50 ms
-	// backoff per refusal would make this the slowest test in the suite.
-	srv, err := server.New(server.Config{
-		BusyGrace:  -1,
-		RetryAfter: time.Millisecond,
-		Tenants:    []server.TenantConfig{{Name: "lg", Engine: cfg, Codec: "binary"}},
-	})
-	if err != nil {
-		t.Fatalf("server.New: %v", err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
+	for _, codec := range []string{"binary", "json"} {
+		t.Run(codec, func(t *testing.T) {
+			// Hundreds of chunks are refused here by design; the default
+			// 50 ms backoff per refusal would make this the slowest test in
+			// the suite.
+			srv, err := server.New(server.Config{
+				BusyGrace:  -1,
+				RetryAfter: time.Millisecond,
+				Tenants:    []server.TenantConfig{{Name: "lg", Engine: cfg, Codec: codec}},
+			})
+			if err != nil {
+				t.Fatalf("server.New: %v", err)
+			}
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
 
-	rep, err := loadgen.Run(loadgen.Config{
-		BaseURL: hs.URL, Tenant: "lg", Codec: "binary", ChunkEvents: 250,
-	}, in)
-	if err != nil {
-		t.Fatalf("loadgen binary: %v", err)
-	}
-	if err := srv.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	tn, _ := srv.Tenant("lg")
-	got := tn.Engine().Stats()
-	if got.Revenue != want.Revenue || got.Served != want.Served {
-		t.Errorf("binary loadgen revenue %.9f/served %d != in-process %.9f/%d",
-			got.Revenue, got.Served, want.Revenue, want.Served)
-	}
-	if int64(rep.Events) != got.Events {
-		t.Errorf("loadgen reported %d accepted events, engine counted %d", rep.Events, got.Events)
-	}
-	if rep.Rejections == 0 {
-		t.Logf("note: no 429s occurred (buffer kept up); resume path not stressed this run")
-	}
-
-	if _, err := loadgen.Run(loadgen.Config{BaseURL: hs.URL, Tenant: "lg", Codec: "morse"}, in); err == nil {
-		t.Error("unknown codec accepted by loadgen")
+			rep, err := postTrace(hs.URL, "lg", codec, in, 250, engine.ReplayOpts{})
+			if err != nil {
+				t.Fatalf("loadgen %s: %v", codec, err)
+			}
+			if err := srv.Drain(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			tn, _ := srv.Tenant("lg")
+			got := tn.Engine().Stats()
+			if got.Revenue != want.Revenue || got.Served != want.Served {
+				t.Errorf("%s loadgen revenue %.9f/served %d != in-process %.9f/%d",
+					codec, got.Revenue, got.Served, want.Revenue, want.Served)
+			}
+			if int64(rep.Accepted) != got.Events {
+				t.Errorf("loadgen reported %d accepted events, engine counted %d", rep.Accepted, got.Events)
+			}
+			if rep.Busy == 0 {
+				t.Logf("note: no 429s occurred (buffer kept up); resume path not stressed this run")
+			}
+		})
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"spatialcrowd/internal/engine"
 	"spatialcrowd/internal/server"
-	"spatialcrowd/internal/server/loadgen"
 )
 
 // promSample is one parsed exposition line.
@@ -116,7 +116,7 @@ func TestMetricsExposition(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	for _, tenant := range []string{"alpha", "beta"} {
-		if _, err := loadgen.Run(loadgen.Config{BaseURL: hs.URL, Tenant: tenant, ChunkEvents: 400}, in); err != nil {
+		if _, err := postTrace(hs.URL, tenant, "json", in, 400, engine.ReplayOpts{}); err != nil {
 			t.Fatalf("loadgen %s: %v", tenant, err)
 		}
 	}

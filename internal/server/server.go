@@ -152,13 +152,6 @@ func (s *Server) Tenant(name string) (*Tenant, bool) {
 	return t, ok
 }
 
-// TenantNames lists the cities in registration order.
-func (s *Server) TenantNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.order...)
-}
-
 // Drain quiesces the whole server: every tenant stops admitting events
 // (503), writes its checkpoint if configured, and closes its engine. The
 // HTTP listener itself is the caller's to shut down (http.Server.Shutdown)

@@ -13,11 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"spatialcrowd/bench/loadgen"
 	"spatialcrowd/internal/core"
 	"spatialcrowd/internal/engine"
 	"spatialcrowd/internal/market"
 	"spatialcrowd/internal/server"
-	"spatialcrowd/internal/server/loadgen"
 	"spatialcrowd/internal/workload"
 )
 
@@ -87,6 +87,41 @@ func inProcessStats(t *testing.T, cfg engine.Config, in *market.Instance, opts e
 	return eng.Stats()
 }
 
+// postTrace streams the slice opts selects of the instance's canonical
+// event order (engine.StreamEvents, the order of the in-process replay) to
+// a tenant's ingest endpoint in chunk-event bodies of the named codec,
+// through the benchmark's closed-loop load generator: one POST at a time,
+// each resumed after a 429 from the server's accepted count.
+func postTrace(base, tenant, codec string, in *market.Instance, chunk int, opts engine.ReplayOpts) (*loadgen.Report, error) {
+	cd, err := loadgen.CodecByName(codec)
+	if err != nil {
+		return nil, err
+	}
+	t := &loadgen.HTTPTarget{Client: &http.Client{}, URL: base + "/v1/" + tenant + "/ingest", Codec: cd}
+	var evs []engine.Event
+	flush := func() error {
+		if len(evs) == 0 {
+			return nil
+		}
+		body, err := cd.Encode(nil, evs)
+		t.Bodies, t.Counts, evs = append(t.Bodies, body), append(t.Counts, len(evs)), evs[:0]
+		return err
+	}
+	err = engine.StreamEvents(in, 1, opts, func(ev engine.Event) error {
+		if evs = append(evs, ev); len(evs) == chunk {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return loadgen.Run(loadgen.Plan{Chunks: len(t.Bodies)}, t)
+}
+
 // TestLoopbackRevenueMatchesInProcess is the end-to-end acceptance test:
 // the same synthetic trace ingested over real HTTP (load generator,
 // chunked NDJSON) must produce exactly the revenue of an in-process replay
@@ -116,9 +151,7 @@ func TestLoopbackRevenueMatchesInProcess(t *testing.T) {
 			hs := httptest.NewServer(srv)
 			defer hs.Close()
 
-			rep, err := loadgen.Run(loadgen.Config{
-				BaseURL: hs.URL, Tenant: "e2e", ChunkEvents: 700,
-			}, in)
+			rep, err := postTrace(hs.URL, "e2e", "json", in, 700, engine.ReplayOpts{})
 			if err != nil {
 				t.Fatalf("loadgen: %v", err)
 			}
@@ -134,8 +167,8 @@ func TestLoopbackRevenueMatchesInProcess(t *testing.T) {
 			if got.Served != want.Served || got.Accepted != want.Accepted {
 				t.Errorf("served/accepted %d/%d != %d/%d", got.Served, got.Accepted, want.Served, want.Accepted)
 			}
-			if int64(rep.Events) != got.Events {
-				t.Errorf("loadgen reported %d accepted events, engine counted %d", rep.Events, got.Events)
+			if int64(rep.Accepted) != got.Events {
+				t.Errorf("loadgen reported %d accepted events, engine counted %d", rep.Accepted, got.Events)
 			}
 			if tn.Ingested() != got.Events {
 				t.Errorf("tenant ingested %d != engine events %d", tn.Ingested(), got.Events)
@@ -162,10 +195,7 @@ func TestDrainCheckpointRestore(t *testing.T) {
 	}
 	hs1 := httptest.NewServer(srv1)
 	defer hs1.Close()
-	if _, err := loadgen.Run(loadgen.Config{
-		BaseURL: hs1.URL, Tenant: "city", ChunkEvents: 500,
-		Opts: engine.ReplayOpts{Until: cut},
-	}, in); err != nil {
+	if _, err := postTrace(hs1.URL, "city", "json", in, 500, engine.ReplayOpts{Until: cut}); err != nil {
 		t.Fatalf("loadgen first half: %v", err)
 	}
 	if err := srv1.Drain(); err != nil {
@@ -199,10 +229,7 @@ func TestDrainCheckpointRestore(t *testing.T) {
 	if resumeFrom != cut {
 		t.Fatalf("RestoredPeriod()+1 = %d, want %d", resumeFrom, cut)
 	}
-	if _, err := loadgen.Run(loadgen.Config{
-		BaseURL: hs2.URL, Tenant: "city", ChunkEvents: 500,
-		Opts: engine.ReplayOpts{From: resumeFrom},
-	}, in); err != nil {
+	if _, err := postTrace(hs2.URL, "city", "json", in, 500, engine.ReplayOpts{From: resumeFrom}); err != nil {
 		t.Fatalf("loadgen second half: %v", err)
 	}
 	if err := srv2.Drain(); err != nil {
@@ -394,9 +421,7 @@ func TestConcurrentTenants(t *testing.T) {
 		ingesters.Add(1)
 		go func(tenant string) {
 			defer ingesters.Done()
-			if _, err := loadgen.Run(loadgen.Config{
-				BaseURL: hs.URL, Tenant: tenant, ChunkEvents: 300,
-			}, in); err != nil {
+			if _, err := postTrace(hs.URL, tenant, "json", in, 300, engine.ReplayOpts{}); err != nil {
 				errCh <- fmt.Errorf("%s: %w", tenant, err)
 			}
 		}(tenant)
@@ -576,7 +601,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	if _, err := loadgen.Run(loadgen.Config{BaseURL: hs.URL, Tenant: "s", ChunkEvents: 400}, in); err != nil {
+	if _, err := postTrace(hs.URL, "s", "json", in, 400, engine.ReplayOpts{}); err != nil {
 		t.Fatalf("loadgen: %v", err)
 	}
 	resp, err := http.Get(hs.URL + "/v1/s/stats")

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"spatialcrowd/internal/core"
@@ -196,7 +195,7 @@ func TestRunAllStrategiesEndToEnd(t *testing.T) {
 	params := core.DefaultParams()
 
 	basep, _ := core.NewBaseP(params)
-	oracle := &modelOracle{model: model, rng: rand.New(rand.NewSource(1))}
+	oracle := market.NewModelOracle(model, 1)
 	if err := basep.Calibrate(oracle, in.Grid.NumCells(), 50); err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +226,6 @@ func TestRunAllStrategiesEndToEnd(t *testing.T) {
 	if results["MAPS"].Revenue <= 0 {
 		t.Error("MAPS earned nothing")
 	}
-}
-
-// modelOracle adapts a valuation model into a calibration ProbeOracle.
-type modelOracle struct {
-	model market.ValuationModel
-	rng   *rand.Rand
-}
-
-func (o *modelOracle) Probe(cell int, price float64) bool {
-	return price <= o.model.Dist(cell).Sample(o.rng)
 }
 
 func TestMemorySampling(t *testing.T) {

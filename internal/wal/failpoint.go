@@ -80,13 +80,6 @@ func (s *FailpointStore) dieLocked() {
 	}
 }
 
-// Dead reports whether the store has crashed.
-func (s *FailpointStore) Dead() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
-}
-
 func (s *FailpointStore) List() ([]string, error) {
 	s.mu.Lock()
 	dead := s.dead

@@ -224,9 +224,6 @@ func NewExecutor(space spatial.Space, mode GraphMode) *Executor {
 // Space reports the executor's spatial backend.
 func (x *Executor) Space() spatial.Space { return x.space }
 
-// Mode reports the executor's graph-builder mode.
-func (x *Executor) Mode() GraphMode { return x.mode }
-
 // SetAmortize toggles the amortized-rebuild layer. When on, each Rebuild
 // fingerprints the window's tasks and workers and reuses the previous
 // window's context (same tasks), graph (same tasks and workers), and — for
